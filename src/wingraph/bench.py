@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import node_update_dense_data, node_update_sparse_data
+from .tensor import Tensor, softmax_rows
 
 CSV_HEADER = "K,D,c,dense_ms,sparse_ms,max_abs_diff"
 
@@ -25,9 +26,7 @@ class BenchRow:
     D: int
     c: float
     dense_ms: float
-    dense_std_ms: float
     sparse_ms: float
-    sparse_std_ms: float
     max_abs_diff: float
     kept_edges: int
 
@@ -36,13 +35,7 @@ class BenchRow:
                 f"{self.sparse_ms:.6f},{self.max_abs_diff:g}")
 
 
-def _softmax_rows_data(a: np.ndarray) -> np.ndarray:
-    z = a - a.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _time_ms(fn, repeats: int) -> tuple[float, float, list[np.ndarray]]:
+def _time_ms(fn, repeats: int) -> tuple[float, list[np.ndarray]]:
     fn()  # warm-up outside the measurements
     times = np.empty(repeats)
     outputs = []
@@ -51,24 +44,21 @@ def _time_ms(fn, repeats: int) -> tuple[float, float, list[np.ndarray]]:
         out = fn()
         times[r] = (time.perf_counter() - start) * 1e3
         outputs.append(out)
-    return float(times.mean()), float(times.std()), outputs
+    return float(times.mean()), outputs
 
 
 def bench_point(k: int, d: int, c: float, repeats: int, rng: np.random.Generator) -> BenchRow:
     nodes = rng.uniform(-1.0, 1.0, (k, d))
-    values = _softmax_rows_data(nodes @ nodes.T)
+    values = softmax_rows(Tensor(nodes @ nodes.T)).data
     theta = c * values.mean()
     mask = values > theta
     masked = np.where(mask, values, 0.0)
 
-    dense_ms, dense_std, dense_outs = _time_ms(
-        lambda: node_update_dense_data(masked, nodes), repeats)
-    sparse_ms, sparse_std, sparse_outs = _time_ms(
-        lambda: node_update_sparse_data(masked, mask, nodes), repeats)
+    dense_ms, dense_outs = _time_ms(lambda: node_update_dense_data(masked, nodes), repeats)
+    sparse_ms, sparse_outs = _time_ms(lambda: node_update_sparse_data(masked, mask, nodes), repeats)
 
     diff = max(float(np.abs(a - b).max()) for a, b in zip(dense_outs, sparse_outs))
-    return BenchRow(k, d, c, dense_ms, dense_std, sparse_ms, sparse_std,
-                    diff, int(mask.sum()))
+    return BenchRow(k, d, c, dense_ms, sparse_ms, diff, int(mask.sum()))
 
 
 def run_benchmark(ks: list[int], ds: list[int], coefficients: list[float],

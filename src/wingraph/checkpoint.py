@@ -86,7 +86,10 @@ def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
         pos += 2
         if pos + name_len + 2 > len(raw):
             raise CheckpointError("truncated manifest")
-        name = raw[pos:pos + name_len].decode("utf-8")
+        try:
+            name = raw[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"manifest entry name is not valid utf-8: {exc}") from exc
         pos += name_len
         dtype, rank = struct.unpack_from("<BB", raw, pos)
         pos += 2
@@ -116,8 +119,11 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
     The manifest must name exactly the model's parameters with matching
     shapes; any structural difference is a manifest mismatch.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     entries, blob_start = read_manifest(raw)
     blob = raw[blob_start:]
     needed = max((e.offset + e.length for e in entries), default=0)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
+import typing
 from pathlib import Path
 
 from .bench import format_csv, run_benchmark
@@ -51,37 +51,27 @@ def _parse_stages(text: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(stages)
 
 
-_FIELD_PARSERS = {
-    "C": int,
-    "H": int,
-    "W": int,
-    "stages": _parse_stages,
-    "num_classes": int,
-    "fusion": FusionType.from_name,
-    "r_gr": int,
-    "r_lr": int,
-    "r_ba": int,
-    "theta_coefficient": float,
-    "graph_depth": int,
-    "relation_variant": str,
-    "enable_gt": _parse_bool,
-    "enable_ba": _parse_bool,
-    "seed": int,
-    "dataset": str,
-    "dataset_size": int,
-    "steps": int,
-    "lr": float,
-}
+def _format_stages(stages: tuple[tuple[int, int, int], ...]) -> str:
+    return ",".join("x".join(str(p) for p in stage) for stage in stages)
 
-assert set(_FIELD_PARSERS) == {f.name for f in dataclasses.fields(SegmenterConfig)}
+
+# (parse, format) per field type; a type not listed parses with itself and
+# formats with str, which covers int, float and str fields.
+_TYPE_CODECS = {
+    bool: (_parse_bool, lambda value: "true" if value else "false"),
+    FusionType: (FusionType.from_name, lambda value: value.value),
+    tuple: (_parse_stages, _format_stages),
+}
+_FIELD_CODECS = {name: _TYPE_CODECS.get(typing.get_origin(tp) or tp, (tp, str))
+                 for name, tp in typing.get_type_hints(SegmenterConfig).items()}
 
 
 def _set_key(values: dict, key: str, raw: str, origin: str) -> None:
-    parser = _FIELD_PARSERS.get(key)
-    if parser is None:
+    if key not in _FIELD_CODECS:
         raise ConfigError(f"{origin}: unknown config key {key!r}")
+    parse, _ = _FIELD_CODECS[key]
     try:
-        values[key] = parser(raw.strip())
+        values[key] = parse(raw.strip())
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
 
@@ -102,7 +92,11 @@ def parse_config_text(text: str, origin: str = "config") -> dict:
 def load_config(path: str | None, overrides: list[str], seed: int | None) -> SegmenterConfig:
     values: dict = {}
     if path is not None:
-        values = parse_config_text(Path(path).read_text(encoding="utf-8"), origin=path)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        values = parse_config_text(text, origin=path)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--override {item!r} must be KEY=VALUE")
@@ -116,23 +110,21 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> Seg
 
 
 def format_config(config: SegmenterConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(SegmenterConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, FusionType):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = ",".join("x".join(str(p) for p in stage) for stage in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
+    lines = [f"{name} = {fmt(getattr(config, name))}" for name, (_, fmt) in _FIELD_CODECS.items()]
     return "\n".join(lines) + "\n"
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(out: str) -> Path:
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _emit_csv(csv_text: str, out: str | None, filename: str) -> None:
+    """Print CSV text and, when an output directory is given, write it there."""
+    print(csv_text, end="")
+    if out:
+        (_out_dir(out) / filename).write_text(csv_text, encoding="ascii")
 
 
 def _datasets(config: SegmenterConfig):
@@ -143,15 +135,17 @@ def _datasets(config: SegmenterConfig):
     return train_set, eval_set
 
 
+def _evaluate(model, eval_set):
+    """(mIoU result, boundary band accuracy) on the evaluation set."""
+    return evaluate_miou(model, eval_set), dataset_boundary_band_accuracy(model, eval_set, band=1)
+
+
 def cmd_gradcheck(args) -> int:
     seeds = [args.seed + i for i in range(GRADCHECK_SEEDS)]
     results = run_gradcheck(args.scope, seeds)
     lines = ["op,max_rel_err,samples"]
     lines += [f"{r.op},{r.max_rel_err:.3e},{r.samples}" for r in results]
-    csv_text = "\n".join(lines) + "\n"
-    print(csv_text, end="")
-    if args.out:
-        (_out_dir(args) / "gradcheck.csv").write_text(csv_text, encoding="ascii")
+    _emit_csv("\n".join(lines) + "\n", args.out, "gradcheck.csv")
     failed = [r for r in results if not r.passed]
     if failed:
         for r in failed:
@@ -163,7 +157,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.override, args.seed)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     model = build_model(config)
     train_set, eval_set = _datasets(config)
     report = train(model, train_set, config.steps, config.lr)
@@ -171,9 +165,8 @@ def cmd_train(args) -> int:
     save_checkpoint(model, out / "checkpoint.wgts")
     curve = "\n".join(["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(report.losses)]) + "\n"
     (out / "loss_curve.csv").write_text(curve, encoding="ascii")
-    result = evaluate_miou(model, eval_set)
+    result, boundary = _evaluate(model, eval_set)
     write_iou_csv(out / "metrics.csv", result.per_class)
-    boundary = dataset_boundary_band_accuracy(model, eval_set, band=1)
     summary = {
         "param_count": report.param_count,
         "steps": report.steps,
@@ -193,37 +186,28 @@ def cmd_eval(args) -> int:
     config = load_config(args.config, args.override, args.seed)
     model = load_checkpoint(args.checkpoint, config)
     _, eval_set = _datasets(config)
-    result = evaluate_miou(model, eval_set)
-    boundary = dataset_boundary_band_accuracy(model, eval_set, band=1)
+    result, boundary = _evaluate(model, eval_set)
     if args.out:
-        write_iou_csv(_out_dir(args) / "metrics.csv", result.per_class)
+        write_iou_csv(_out_dir(args.out) / "metrics.csv", result.per_class)
     print(f"eval mIoU {result.mean:.4f}, boundary band accuracy {boundary:.4f}")
     return 0
 
 
-THETA_SWEEP = (2.0, 1.0, 0.5, 0.25, 0.125)
-RATIO_SWEEP = (2, 4, 8, 16, 32)
-COMPONENT_SWEEP = (("baseline", False, False), ("gt", True, False),
-                   ("ba", False, True), ("gt_ba", True, True))
-
-
-def ablation_settings(axis: str, base: SegmenterConfig):
-    """(label, config) pairs for one ablation axis, all sharing the seed."""
-    if axis == "theta":
-        return [(f"{c:g}", dataclasses.replace(base, theta_coefficient=c)) for c in THETA_SWEEP]
-    if axis == "ratio":
-        return [(str(r), dataclasses.replace(base, r_gr=r, r_lr=r)) for r in RATIO_SWEEP]
-    if axis == "fusion":
-        return [(f.value, dataclasses.replace(base, fusion=f)) for f in FusionType]
-    if axis == "components":
-        return [(label, dataclasses.replace(base, enable_gt=gt, enable_ba=ba))
-                for label, gt, ba in COMPONENT_SWEEP]
-    raise ConfigError(f"unknown ablation axis {axis!r}")
+# axis -> (row label, SegmenterConfig field changes) per setting; all
+# settings of an axis share the base config's seed.
+ABLATION_AXES = {
+    "theta": [(f"{c:g}", {"theta_coefficient": c}) for c in (2.0, 1.0, 0.5, 0.25, 0.125)],
+    "ratio": [(str(r), {"r_gr": r, "r_lr": r}) for r in (2, 4, 8, 16, 32)],
+    "fusion": [(f.value, {"fusion": f}) for f in FusionType],
+    "components": [(label, {"enable_gt": gt, "enable_ba": ba}) for label, gt, ba in (
+        ("baseline", False, False), ("gt", True, False), ("ba", False, True), ("gt_ba", True, True))],
+}
 
 
 def cmd_ablate(args) -> int:
     base = load_config(args.config, args.override, args.seed)
-    settings = ablation_settings(args.axis, base)
+    settings = [(label, dataclasses.replace(base, **changes))
+                for label, changes in ABLATION_AXES[args.axis]]
     for _, config in settings:
         config.validate()
 
@@ -232,14 +216,10 @@ def cmd_ablate(args) -> int:
         model = build_model(config)
         train_set, eval_set = _datasets(config)
         train(model, train_set, config.steps, config.lr)
-        result = evaluate_miou(model, eval_set)
-        boundary = dataset_boundary_band_accuracy(model, eval_set, band=1)
+        result, boundary = _evaluate(model, eval_set)
         lines.append(f"{label},{result.mean!r},{boundary!r}")
         print(lines[-1], file=sys.stderr)
-    csv_text = "\n".join(lines) + "\n"
-    print(csv_text, end="")
-    if args.out:
-        (_out_dir(args) / f"ablate_{args.axis}.csv").write_text(csv_text, encoding="ascii")
+    _emit_csv("\n".join(lines) + "\n", args.out, f"ablate_{args.axis}.csv")
     return 0
 
 
@@ -254,13 +234,11 @@ def cmd_bench(args) -> int:
     ks = _parse_number_list(args.K, int)
     ds = _parse_number_list(args.D, int)
     cs = _parse_number_list(args.c, float)
-    if not ks or not ds or not cs:
-        raise ConfigError("bench needs non-empty K, D and c lists")
+    if not ks or not ds or not cs or min(ks + ds) < 1 or args.repeats < 1:
+        raise ConfigError(f"bench needs non-empty K, D and c lists and K, D, repeats >= 1; "
+                          f"got K={ks} D={ds} c={cs} repeats={args.repeats}")
     rows = run_benchmark(ks, ds, cs, repeats=args.repeats, seed=args.seed)
-    csv_text = format_csv(rows)
-    print(csv_text, end="")
-    if args.out:
-        (_out_dir(args) / "bench.csv").write_text(csv_text, encoding="ascii")
+    _emit_csv(format_csv(rows), args.out, "bench.csv")
     bad = [row for row in rows if row.max_abs_diff != 0.0]
     if bad:
         for row in bad:
@@ -275,44 +253,33 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="window-graph relation network toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out", default=out_default, help="output directory")
+    def command(name, func, help, config=False, seed=None, out=None):
+        """Add a subcommand with its shared flags; ``config`` adds --config/--override."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if config:
+            p.add_argument("--config", default=None)
+            p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
+        p.add_argument("--seed", type=int, default=seed, help="random seed")
+        p.add_argument("--out", default=out, help="output directory")
+        return p
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification", seed=0)
     p.add_argument("scope", choices=SCOPE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("train", help="train a toy segmenter")
-    p.add_argument("--config", default=None)
-    p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-    common(p, out_default="out")
-    p.set_defaults(func=cmd_train)
+    command("train", cmd_train, "train a toy segmenter", config=True, out="out")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--config", default=None)
+    p = command("eval", cmd_eval, "evaluate a checkpoint", config=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-    common(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="sweep one ablation axis")
-    p.add_argument("axis", choices=("theta", "ratio", "fusion", "components"))
-    p.add_argument("--config", default=None)
-    p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-    common(p)
-    p.set_defaults(func=cmd_ablate)
+    p = command("ablate", cmd_ablate, "sweep one ablation axis", config=True)
+    p.add_argument("axis", choices=tuple(ABLATION_AXES))
 
-    p = sub.add_parser("bench", help="dense vs sparse propagation timing")
+    p = command("bench", cmd_bench, "dense vs sparse propagation timing", seed=0)
     p.add_argument("--K", default="2,4,8,16")
     p.add_argument("--D", default="2,8,32")
     p.add_argument("--c", default="2,1,0.5,0.25,0.125")
     p.add_argument("--repeats", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

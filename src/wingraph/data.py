@@ -25,6 +25,7 @@ import numpy as np
 from .tensor import Tensor
 
 NOISE_SIGMA = 0.2
+DATASET_KINDS = ("stripes", "blobs", "checker")
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def validate_label_map(labels: np.ndarray, num_classes: int) -> None:
 def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
                   seed: int, noise_sigma: float = NOISE_SIGMA) -> list[tuple[Tensor, np.ndarray]]:
     """Generate ``n`` (image, label map) pairs, deterministic in ``seed``."""
-    if kind not in ("stripes", "blobs", "checker"):
+    if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BAParams, ba_apply, ba_param_count
+from .data import DATASET_KINDS
 from .graph import GraphConfig, _VARIANTS
 from .relation import (
     FusionType,
@@ -38,8 +39,6 @@ from .tensor import (
     transpose,
 )
 from .windows import WindowGrid, merge, partition
-
-DATASET_KINDS = ("stripes", "blobs", "checker")
 
 
 class ConfigError(ValueError):

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import pixel_accuracy
 from .model import Segmenter
 from .tensor import Tensor, backward, cross_entropy_logits
 

@@ -94,6 +94,15 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="truncated manifest"):
             load_checkpoint(bad, TOY)
 
+    def test_non_utf8_entry_name(self, trained, tmp_path):
+        _, _, path = trained
+        raw = bytearray(path.read_bytes())
+        raw[12] = 0xFF  # first byte of the first manifest entry name
+        bad = tmp_path / "name.wgts"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="not valid utf-8"):
+            load_checkpoint(bad, TOY)
+
     def test_manifest_mismatch_different_structure(self, trained):
         _, _, path = trained
         other = dataclasses.replace(TOY, enable_ba=False)

@@ -1,15 +1,22 @@
 """CLI contract: subcommands, exit codes, file outputs, overrides."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wingraph import tensor
 from wingraph.cli import format_config, load_config, main, parse_config_text
+from wingraph.data import DATASET_KINDS
+from wingraph.graph import _VARIANTS
 from wingraph.model import ConfigError, SegmenterConfig
+from wingraph.relation import FusionType
 
 FAST = ["--override", "C=4", "--override", "H=4", "--override", "W=4",
         "--override", "stages=1x2x2", "--override", "num_classes=2",
@@ -18,9 +25,48 @@ FAST = ["--override", "C=4", "--override", "H=4", "--override", "W=4",
         "--override", "lr=0.05"]
 
 
+def _divisor(n):
+    return st.sampled_from([d for d in range(1, n + 1) if n % d == 0])
+
+
+@st.composite
+def valid_configs(draw):
+    """A SegmenterConfig that passes validate(), drawing a value for every field."""
+    h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    ratios = [draw(st.integers(1, 8)) for _ in range(3)]
+    values = {
+        "C": math.lcm(*ratios) * draw(st.integers(1, 4)),
+        "H": h,
+        "W": w,
+        "stages": tuple(draw(st.lists(st.tuples(st.integers(1, 4), _divisor(h), _divisor(w)),
+                                      min_size=1, max_size=3))),
+        "num_classes": draw(st.integers(2, 50)),
+        "fusion": draw(st.sampled_from(FusionType)),
+        "r_gr": ratios[0],
+        "r_lr": ratios[1],
+        "r_ba": ratios[2],
+        "theta_coefficient": draw(st.floats(allow_nan=False, allow_infinity=False)),
+        "graph_depth": draw(st.integers(1, 8)),
+        "relation_variant": draw(st.sampled_from(_VARIANTS)),
+        "enable_gt": draw(st.booleans()),
+        "enable_ba": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2 ** 63)),
+        "dataset": draw(st.sampled_from(DATASET_KINDS)),
+        "dataset_size": draw(st.integers(1, 10 ** 6)),
+        "steps": draw(st.integers(0, 10 ** 6)),
+        "lr": draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+    }
+    # a new field must get a strategy here before this test passes
+    assert set(values) == {f.name for f in dataclasses.fields(SegmenterConfig)}
+    config = SegmenterConfig(**values)
+    config.validate()
+    return config
+
+
 class TestConfigText:
-    def test_roundtrip_through_text(self):
-        config = SegmenterConfig()
+    @given(valid_configs())
+    @example(SegmenterConfig())
+    def test_roundtrip_through_text(self, config):
         parsed = SegmenterConfig(**parse_config_text(format_config(config)))
         assert parsed == config
 
@@ -127,6 +173,16 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "e")] + FAST) == 0
         assert (tmp_path / "e" / "metrics.csv").exists()
 
+    def test_non_utf8_manifest_name_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)] + FAST) == 0
+        ckpt = out / "checkpoint.wgts"
+        raw = bytearray(ckpt.read_bytes())
+        raw[12] = 0xFF  # first byte of the first manifest entry name
+        ckpt.write_bytes(bytes(raw))
+        assert main(["eval", "--checkpoint", str(ckpt)] + FAST) == 2
+        assert "not valid utf-8" in capsys.readouterr().err
+
     def test_structural_mismatch_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--out", str(out)] + FAST) == 0
@@ -178,6 +234,28 @@ class TestBenchCommand:
 
     def test_bad_list_exits_two(self, capsys):
         assert main(["bench", "--K", "two"]) == 2
+
+
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"dataset = caf\xe9\n")
+    return ["train", "--config", str(path)]
+
+
+UNREADABLE_INPUTS = {
+    "missing_config": lambda tmp_path: ["train", "--config", str(tmp_path / "missing.cfg")],
+    "non_utf8_config": _non_utf8_config,
+    "missing_checkpoint": lambda tmp_path: ["eval", "--checkpoint", str(tmp_path / "none.wgts")],
+    "bench_zero_repeats": lambda tmp_path: ["bench", "--repeats", "0"],
+    "bench_zero_K": lambda tmp_path: ["bench", "--K", "0"],
+    "bench_zero_D": lambda tmp_path: ["bench", "--D", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_untrusted_input_exits_two_without_traceback(case, tmp_path, capsys):
+    assert main(UNREADABLE_INPUTS[case](tmp_path)) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 class TestSubprocessEntry:
