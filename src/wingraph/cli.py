@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -176,7 +177,12 @@ def cmd_train(args) -> int:
         "eval_miou": result.mean,
         "eval_boundary_band_accuracy": boundary,
     }
-    (out / "report.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="ascii")
+    # JSON has no NaN or infinity; a non-finite figure (say, the loss of a
+    # 0-step run) is written as null.
+    summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in summary.items()}
+    (out / "report.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n",
+                                     encoding="ascii")
     print(f"trained {report.param_count} params for {report.steps} steps: "
           f"loss {report.final_loss:.4f}, eval mIoU {result.mean:.4f}")
     return 0

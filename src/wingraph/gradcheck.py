@@ -6,9 +6,9 @@ every leaf tensor.  The relative error uses max(1, |analytic|, |numeric|)
 as denominator, so it behaves like an absolute error for small gradients
 and a relative one for large gradients.
 
-Scopes group checks: raw tensor ops, the graph primitives, the global and
-local relation modules, the fused block in all three fusions, and the
-boundary gate.  ``all`` runs everything.
+Scopes group checks: raw tensor ops, the graph primitives, window
+self-attention, the global and local relation modules, the fused block in
+all three fusions, and the boundary gate.  ``all`` runs everything.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .graph import (
     run_graph,
     sparsify,
 )
+from .model import WindowAttention
 from .relation import (
     FusionType,
     GlobalRelationParams,
@@ -109,10 +110,22 @@ def _projected(out: T.Tensor, proj: T.Tensor) -> T.Tensor:
 # tensor_ops scope
 
 
+def _matmul_check(name, rng, a_shape, b_shape):
+    a, b = _leaf(rng, a_shape), _leaf(rng, b_shape)
+    proj = _projection(rng, a_shape[:-1] + b_shape[-1:])
+    return check_gradients(name, lambda: _projected(T.matmul(a, b), proj), [a, b], rng)
+
+
 def _check_matmul(rng):
-    a, b = _leaf(rng, (10, 6)), _leaf(rng, (6, 8))
-    proj = _projection(rng, (10, 8))
-    return check_gradients("matmul", lambda: _projected(T.matmul(a, b), proj), [a, b], rng)
+    return _matmul_check("matmul", rng, (10, 6), (6, 8))
+
+
+def _check_matmul_stacked(rng):
+    return _matmul_check("matmul_stacked", rng, (3, 4, 5), (3, 5, 6))
+
+
+def _check_matmul_shared(rng):
+    return _matmul_check("matmul_shared", rng, (4, 5, 6), (6, 7))
 
 
 def _conv_check(name, rng, x_shape, w_shape):
@@ -133,10 +146,18 @@ def _check_conv2d_k7(rng):
     return _conv_check("conv2d_k7", rng, (1, 8, 8), (1, 1, 7, 7))
 
 
+def _softmax_check(name, rng, shape):
+    a = _leaf(rng, shape)
+    proj = _projection(rng, shape)
+    return check_gradients(name, lambda: _projected(T.softmax_rows(a), proj), [a], rng)
+
+
 def _check_softmax_rows(rng):
-    a = _leaf(rng, (10, 10))
-    proj = _projection(rng, (10, 10))
-    return check_gradients("softmax_rows", lambda: _projected(T.softmax_rows(a), proj), [a], rng)
+    return _softmax_check("softmax_rows", rng, (10, 10))
+
+
+def _check_softmax_rows_stacked(rng):
+    return _softmax_check("softmax_rows_stacked", rng, (3, 6, 6))
 
 
 def _elementwise_check(name, rng, fn):
@@ -240,12 +261,12 @@ def _check_graph_conv(rng):
                            [nodes, weight], rng)
 
 
-def _run_graph_check(name, rng, variant, depth):
-    nodes = _leaf(rng, (5, 6))
+def _run_graph_check(name, rng, variant, depth, stack=()):
+    nodes = _leaf(rng, stack + (5, 6))
     weights = [T.Parameter(rng.uniform(-0.7, 0.7, (6, 6)), f"w{l}") for l in range(depth)]
     layers = [GraphLayer(w, l) for l, w in enumerate(weights)]
     cfg = GraphConfig(variant=variant, theta_coefficient=0.25)
-    proj = _projection(rng, (5, 6))
+    proj = _projection(rng, stack + (5, 6))
     return check_gradients(name, lambda: _projected(run_graph(nodes, layers, cfg), proj),
                            [nodes] + weights, rng)
 
@@ -256,6 +277,14 @@ def _check_run_graph(rng):
 
 def _check_run_graph_cosine(rng):
     return _run_graph_check("run_graph_cosine", rng, "cosine", 1)
+
+
+def _check_run_graph_stacked(rng):
+    return _run_graph_check("run_graph_stacked", rng, "softmax", 2, stack=(3,))
+
+
+def _check_run_graph_stacked_cosine(rng):
+    return _run_graph_check("run_graph_stacked_cosine", rng, "cosine", 1, stack=(3,))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +345,20 @@ def _check_gt_parallel(rng):
     return _gt_check("gt_parallel", rng, FusionType.PARALLEL)
 
 
+def _check_window_attention(rng):
+    c, h, w = 4, 4, 4
+    grid = WindowGrid(c, h, w, 2, 2)
+    x = _leaf(rng, (c, h, w))
+    # Default-scale weights give near-uniform attention; wider ones make the
+    # softmax part of the path matter.
+    block = WindowAttention(c, rng, "attn")
+    for p in block.named_parameters():
+        p.data = rng.uniform(-1, 1, p.shape)
+    proj = _projection(rng, (c, h, w))
+    return check_gradients("window_attention", lambda: _projected(block.forward(x, grid), proj),
+                           [x] + block.named_parameters(), rng, max_entries=_MODULE_MAX_ENTRIES)
+
+
 def _check_ba(rng):
     c, h, w = 4, 5, 5
     y = _leaf(rng, (c, h, w))
@@ -334,11 +377,14 @@ SCOPES: dict[str, list] = {
         _check_softmax_rows, _check_gelu, _check_gelu_erf, _check_sigmoid,
         _check_hadamard, _check_add, _check_scalar_mul, _check_sum_of_sigmoid,
         _check_cross_entropy, _check_window_roundtrip,
+        _check_matmul_stacked, _check_matmul_shared, _check_softmax_rows_stacked,
     ],
     "graph": [
         _check_relation_cosine, _check_relation_softmax, _check_node_update,
         _check_graph_conv, _check_run_graph, _check_run_graph_cosine,
+        _check_run_graph_stacked, _check_run_graph_stacked_cosine,
     ],
+    "attention": [_check_window_attention],
     "gr": [_check_gr],
     "lr": [_check_lr],
     "gt": [_check_gt_gr_then_lr, _check_gt_lr_then_gr, _check_gt_parallel],

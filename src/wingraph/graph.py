@@ -6,14 +6,20 @@ by a mean-derived threshold, and propagated: each node becomes the
 affinity-weighted sum of its kept neighbours, followed by a learnable
 right-multiplication.
 
+Every function here also takes a [B, K, D] stack of B independent graphs
+(one per window, say) and treats each slice exactly as the rank-2 call
+would: each graph gets its own relation matrix and its own threshold, and
+graphs never exchange information.  A stacked result is bit-identical to
+stacking the per-slice results.
+
 Summation-order contract
 ------------------------
 Node propagation accumulates over the neighbour index j in ascending
-order.  Because adding an exact float zero never changes a finite partial
-sum, the sparse evaluation (which skips pruned entries entirely) produces
-bit-for-bit the same output as the dense masked product.  Benchmarks and
-tests rely on this; do not replace the accumulation loops with a BLAS
-matmul.
+order, within each slice of a stack.  Because adding an exact float zero
+never changes a finite partial sum, the sparse evaluation (which skips
+pruned entries entirely) produces bit-for-bit the same output as the
+dense masked product.  Benchmarks and tests rely on this; do not replace
+the accumulation loops with a BLAS matmul.
 """
 
 from __future__ import annotations
@@ -39,31 +45,34 @@ _VARIANTS = (VARIANT_COSINE, VARIANT_SOFTMAX)
 
 @dataclass
 class RelationMatrix:
-    """K x K node affinities, optionally sparsified.
+    """K x K node affinities, or a [B, K, K] stack of them, optionally sparsified.
 
     ``mask`` and ``theta`` record the pruning decision: ``mask`` flags the
     entries of the *pre-pruning* matrix that were strictly above ``theta``;
     ``values`` holds those entries unchanged and exact zeros elsewhere.
+    ``theta`` is a float for one graph and a [B] array for a stack.
     """
 
     values: Tensor
     variant: str
     mask: np.ndarray | None = None
-    theta: float | None = None
+    theta: float | np.ndarray | None = None
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"RelationMatrix: unknown variant {self.variant!r}")
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError(f"RelationMatrix: square matrix required, got {list(self.values.shape)}")
+        shape = self.values.shape
+        if self.values.ndim not in (2, 3) or shape[-1] != shape[-2]:
+            raise ValueError(f"RelationMatrix: square matrix or stack of them required, got {list(shape)}")
 
     @property
     def num_nodes(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def kept_edges(self) -> int:
+        """Kept entries, summed over every graph of a stack."""
         if self.mask is None:
-            return self.num_nodes ** 2
+            return self.values.data.size
         return int(self.mask.sum())
 
 
@@ -93,6 +102,11 @@ class GraphConfig:
             raise ValueError(f"GraphConfig: unknown variant {self.variant!r}")
 
 
+def _check_nodes(nodes, op: str) -> None:
+    if nodes.ndim not in (2, 3):
+        raise ValueError(f"{op}: [K, D] nodes or a [B, K, D] stack required, got {list(nodes.shape)}")
+
+
 def relation_cosine(nodes: Tensor) -> RelationMatrix:
     """Pairwise cosine similarity of node rows.
 
@@ -102,32 +116,26 @@ def relation_cosine(nodes: Tensor) -> RelationMatrix:
     product.  The clamp and the zero-row convention are treated as
     pass-through / constant regions by the backward pass.
     """
-    if nodes.ndim != 2:
-        raise ValueError(f"relation_cosine: rank-2 nodes required, got {list(nodes.shape)}")
+    _check_nodes(nodes, "relation_cosine")
     nd = nodes.data
-    k = nd.shape[0]
-    dots = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            dots[i, j] = dots[j, i] = np.dot(nd[i], nd[j])
-    norms = np.sqrt(np.diagonal(dots).copy())
+    k = nd.shape[-2]
+    # vecdot takes each pair's dot product as np.dot does, so an entry does
+    # not depend on the other rows; a matmul would block the sum differently.
+    dots = np.vecdot(nd[..., :, None, :], nd[..., None, :, :])
+    norms = np.sqrt(np.diagonal(dots, axis1=-2, axis2=-1))
     nonzero = norms > 0.0
+    safe = np.where(nonzero, norms, 1.0)
 
-    values = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                values[i, j] = 1.0
-            elif nonzero[i] and nonzero[j]:
-                values[i, j] = dots[i, j] / (norms[i] * norms[j])
+    both = nonzero[..., :, None] & nonzero[..., None, :]
+    values = np.where(both, dots / (safe[..., :, None] * safe[..., None, :]), 0.0)
+    values[..., range(k), range(k)] = 1.0
     np.clip(values, -1.0, 1.0, out=values)
 
-    safe = np.where(nonzero, norms, 1.0)
-    unit = nd / safe[:, None]
+    unit = nd / safe[..., None]
 
     def _bw(g):
-        h = g + g.T
-        dn = (np.matmul(h, unit) - (h * values).sum(axis=1, keepdims=True) * unit) / safe[:, None]
+        h = g + np.swapaxes(g, -1, -2)
+        dn = (np.matmul(h, unit) - (h * values).sum(axis=-1, keepdims=True) * unit) / safe[..., None]
         dn[~nonzero] = 0.0
         return (dn,)
 
@@ -136,8 +144,7 @@ def relation_cosine(nodes: Tensor) -> RelationMatrix:
 
 def relation_softmax(nodes: Tensor) -> RelationMatrix:
     """Row-softmax of pairwise dot products; always row-stochastic."""
-    if nodes.ndim != 2:
-        raise ValueError(f"relation_softmax: rank-2 nodes required, got {list(nodes.shape)}")
+    _check_nodes(nodes, "relation_softmax")
     values = softmax_rows(matmul(nodes, transpose(nodes)))
     return RelationMatrix(values, VARIANT_SOFTMAX)
 
@@ -150,35 +157,38 @@ def relation(nodes: Tensor, variant: str) -> RelationMatrix:
     raise ValueError(f"relation: unknown variant {variant!r}")
 
 
-def make_theta(values, coefficient: float = 0.25) -> float:
+def make_theta(values, coefficient: float = 0.25) -> float | np.ndarray:
     """Pruning threshold c * v, where v is the mean of all K^2 entries.
 
-    c = 1/4 is the default; it is the best-performing multiple in the
-    threshold sweep this policy mirrors.
+    For a [B, K, K] stack, each graph gets the threshold of its own
+    matrix, returned as a [B] array.  c = 1/4 is the default; it is the
+    best-performing multiple in the threshold sweep this policy mirrors.
     """
     data = values.data if isinstance(values, Tensor) else np.asarray(values)
-    return float(coefficient) * float(data.mean())
+    theta = float(coefficient) * data.mean(axis=(-2, -1))
+    return float(theta) if data.ndim == 2 else theta
 
 
-def sparsify(rel: RelationMatrix, theta: float) -> RelationMatrix:
+def sparsify(rel: RelationMatrix, theta: float | np.ndarray) -> RelationMatrix:
     """Keep entries strictly above ``theta``; zero the rest exactly.
 
-    The mask is a constant with respect to differentiation (the indicator
-    has zero subgradient at the threshold); kept entries pass gradients
-    through unchanged.  Idempotent on values: re-applying the same theta
-    never changes a kept entry or resurrects a pruned one.
+    For a stack, ``theta`` holds one threshold per graph (a scalar applies
+    to all of them).  The mask is a constant with respect to
+    differentiation (the indicator has zero subgradient at the threshold);
+    kept entries pass gradients through unchanged.  Idempotent on values:
+    re-applying the same theta never changes a kept entry or resurrects a
+    pruned one.
     """
-    theta = float(theta)
-    mask = rel.values.data > theta
+    theta = float(theta) if rel.values.ndim == 2 else np.asarray(theta, dtype=np.float64)
+    mask = rel.values.data > np.expand_dims(theta, (-2, -1))
     return RelationMatrix(apply_mask(rel.values, mask), rel.variant, mask, theta)
 
 
 def node_update_dense_data(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Dense propagation over raw arrays, neighbour index ascending."""
-    k, d = values.shape[0], nodes.shape[1]
-    out = np.zeros((k, d))
-    for j in range(values.shape[1]):
-        out += values[:, j, None] * nodes[j]
+    out = np.zeros(values.shape[:-1] + nodes.shape[-1:])
+    for j in range(values.shape[-1]):
+        out += values[..., :, j, None] * nodes[..., j, None, :]
     return out
 
 
@@ -189,12 +199,17 @@ def node_update_sparse_data(values: np.ndarray, mask: np.ndarray, nodes: np.ndar
     both walk neighbours in ascending order, and the skipped terms are
     exact zeros.
     """
-    out = np.zeros((values.shape[0], nodes.shape[1]))
-    for j in range(values.shape[1]):
-        rows = np.nonzero(mask[:, j])[0]
-        if rows.size:
-            out[rows] += values[rows, j, None] * nodes[j]
+    out = np.zeros(values.shape[:-1] + nodes.shape[-1:])
+    for j in range(values.shape[-1]):
+        kept = np.nonzero(mask[..., j])  # (rows,), or (slices, rows) for a stack
+        if kept[0].size:
+            out[kept] += values[..., j][kept][:, None] * nodes[..., j, :][kept[:-1]]
     return out
+
+
+def _check_relation_matches(rel_shape, nodes_shape, op: str) -> None:
+    if rel_shape[-1] != nodes_shape[-2] or rel_shape[:-2] != nodes_shape[:-2]:
+        raise ValueError(f"{op}: relation {list(rel_shape)} does not match nodes {list(nodes_shape)}")
 
 
 def node_update(rel: RelationMatrix, nodes: Tensor) -> Tensor:
@@ -205,28 +220,26 @@ def node_update(rel: RelationMatrix, nodes: Tensor) -> Tensor:
     so the sparse path can match it exactly; backward treats it as an
     ordinary matrix product.
     """
-    if nodes.ndim != 2:
-        raise ValueError(f"node_update: rank-2 nodes required, got {list(nodes.shape)}")
+    _check_nodes(nodes, "node_update")
     vals = rel.values
-    if vals.shape[1] != nodes.shape[0]:
-        raise ValueError(f"node_update: relation {list(vals.shape)} does not match nodes {list(nodes.shape)}")
+    _check_relation_matches(vals.shape, nodes.shape, "node_update")
     vd, nd = vals.data, nodes.data
     out = node_update_dense_data(vd, nd)
-    return _op(out, (vals, nodes), lambda g: (np.matmul(g, nd.T), np.matmul(vd.T, g)))
+    return _op(out, (vals, nodes), lambda g: (np.matmul(g, np.swapaxes(nd, -1, -2)),
+                                              np.matmul(np.swapaxes(vd, -1, -2), g)))
 
 
 def node_update_sparse(rel: RelationMatrix, nodes: np.ndarray) -> np.ndarray:
     """Inference-only sparse propagation; requires a sparsified relation."""
     if rel.mask is None:
         raise ValueError("node_update_sparse: relation has no mask; call sparsify first")
-    if rel.values.shape[1] != nodes.shape[0]:
-        raise ValueError(f"node_update_sparse: relation {list(rel.values.shape)} does not match nodes {list(nodes.shape)}")
+    _check_relation_matches(rel.values.shape, nodes.shape, "node_update_sparse")
     return node_update_sparse_data(rel.values.data, rel.mask, nodes)
 
 
 def graph_conv(nodes: Tensor, layer: GraphLayer) -> Tensor:
     """Learnable node mixing: nodes @ layer.weight."""
-    if nodes.shape[1] != layer.weight.shape[0]:
+    if nodes.shape[-1] != layer.weight.shape[0]:
         raise ValueError(
             f"graph_conv: nodes {list(nodes.shape)} do not match weight {list(layer.weight.shape)}")
     return matmul(nodes, layer.weight)
@@ -237,7 +250,7 @@ def run_graph(nodes: Tensor, layers: list[GraphLayer] | tuple[GraphLayer, ...],
     """Apply L rounds of relate -> prune -> propagate -> mix.
 
     The relation matrix and its threshold are recomputed from the current
-    node features at every round.
+    node features at every round, for each graph of a stack separately.
     """
     if not layers:
         raise ValueError("run_graph: at least one layer required")

@@ -31,14 +31,11 @@ from .tensor import (
     add,
     conv2d,
     matmul,
-    reshape,
     scalar_mul,
     softmax_rows,
-    stack,
-    take,
     transpose,
 )
-from .windows import WindowGrid, merge, partition
+from .windows import WindowGrid, merge_tokens, window_tokens
 
 
 class ConfigError(ValueError):
@@ -133,18 +130,13 @@ class WindowAttention:
         self.wv = Parameter(rng.normal(0.0, scale, (c, c)), f"{prefix}.wv")
 
     def forward(self, x: Tensor, grid: WindowGrid) -> Tensor:
-        wins = partition(x, grid)
-        pixels = grid.h_w * grid.w_w
-        inv_sqrt_c = self.c ** -0.5
-        outs = []
-        for i in range(grid.num_nodes):
-            tokens = transpose(reshape(take(wins, i), (self.c, pixels)))
-            q = matmul(tokens, self.wq)
-            k = matmul(tokens, self.wk)
-            v = matmul(tokens, self.wv)
-            att = softmax_rows(scalar_mul(matmul(q, transpose(k)), inv_sqrt_c))
-            outs.append(reshape(transpose(matmul(att, v)), (self.c, grid.h_w, grid.w_w)))
-        return add(x, merge(stack(outs), grid))
+        # Windows are the stack axis: one attention per window's tokens.
+        tokens = window_tokens(x, grid)
+        q = matmul(tokens, self.wq)
+        k = matmul(tokens, self.wk)
+        v = matmul(tokens, self.wv)
+        att = softmax_rows(scalar_mul(matmul(q, transpose(k)), self.c ** -0.5))
+        return add(x, merge_tokens(matmul(att, v), grid))
 
     def named_parameters(self) -> list[Parameter]:
         return [self.wq, self.wk, self.wv]

@@ -16,8 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphConfig, GraphLayer, run_graph
-from .tensor import Parameter, Tensor, add, conv2d, reshape, stack, take, transpose
-from .windows import WindowGrid, flatten_nodes, merge, partition, unflatten_nodes
+from .tensor import Parameter, Tensor, add, conv2d
+from .windows import (
+    WindowGrid,
+    flatten_nodes,
+    merge,
+    merge_tokens,
+    partition,
+    unflatten_nodes,
+    window_tokens,
+)
 
 
 class FusionType(enum.Enum):
@@ -121,16 +129,9 @@ def _local_correction(x: Tensor, grid: WindowGrid, params: LocalRelationParams,
     _check_ratio(c, params.r_lr, "local relation")
     squeezed = conv2d(x, params.squeeze)
     sub = WindowGrid(c // params.r_lr, grid.H, grid.W, grid.M, grid.N)
-    wins = partition(squeezed, sub)
-    pixels = sub.h_w * sub.w_w
-    outs = []
-    for i in range(sub.num_nodes):
-        block = take(wins, i)
-        nodes = transpose(reshape(block, (sub.C, pixels)))
-        nodes = run_graph(nodes, params.graph, cfg)
-        outs.append(reshape(transpose(nodes), (sub.C, sub.h_w, sub.w_w)))
-    restored = merge(stack(outs), sub)
-    return conv2d(restored, params.unsqueeze)
+    # One graph per window: windows are the stack axis, pixels the nodes.
+    nodes = run_graph(window_tokens(squeezed, sub), params.graph, cfg)
+    return conv2d(merge_tokens(nodes, sub), params.unsqueeze)
 
 
 def global_relation(x: Tensor, grid: WindowGrid, params: GlobalRelationParams,

@@ -10,6 +10,10 @@ All data is 64-bit, row-major and contiguous.  There is no broadcasting
 beyond what the ops below need, no GPU path, and no in-place arithmetic on
 recorded tensors; parameters may be updated in place *between* forward
 passes (that is how SGD works).
+
+``matmul``, ``transpose`` and ``softmax_rows`` also take [B, p, q] stacks,
+so many independent windows run as one op; each slice of a stacked result
+is bit-identical to the rank-2 call on that slice.
 """
 
 from __future__ import annotations
@@ -177,19 +181,40 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rank-2 matrix product [p x q] @ [q x s] -> [p x s]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul: rank-2 tensors required, got {list(a.shape)} and {list(b.shape)}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product [p x q] @ [q x s] -> [p x s], optionally over a stack.
+
+    ``a`` may be a [B, p, q] stack; ``b`` is then either a matching
+    [B, q, s] stack (slice-by-slice products) or one [q, s] matrix shared
+    by every slice.  Each slice's product is computed exactly as the
+    rank-2 call would compute it.
+    """
+    if a.ndim not in (2, 3) or b.ndim not in (2, a.ndim):
+        raise ValueError(f"matmul: need [p,q] or [B,p,q] @ [q,s] or [B,q,s], "
+                         f"got {list(a.shape)} and {list(b.shape)}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree, {list(a.shape)} vs {list(b.shape)}")
+    if b.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ValueError(f"matmul: stack sizes disagree, {list(a.shape)} vs {list(b.shape)}")
     ad, bd = a.data, b.data
-    return _op(np.matmul(ad, bd), (a, b), lambda g: (np.matmul(g, bd.T), np.matmul(ad.T, g)))
+
+    def _bw(g):
+        da = np.matmul(g, np.swapaxes(bd, -1, -2))
+        db = np.matmul(np.swapaxes(ad, -1, -2), g)
+        if db.ndim > bd.ndim:
+            # A shared b receives the sum of every slice's contribution, added
+            # in ascending slice order as a loop of rank-2 calls would add
+            # them; a running sum keeps that order where sum() may not.
+            db = np.cumsum(db, axis=0)[-1]
+        return (da, db)
+
+    return _op(np.matmul(ad, bd), (a, b), _bw)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ValueError(f"transpose: rank-2 tensor required, got {list(a.shape)}")
-    return _op(a.data.T, (a,), lambda g: (g.T,))
+    """Swap the last two axes of a [p, q] matrix or a [B, p, q] stack."""
+    if a.ndim not in (2, 3):
+        raise ValueError(f"transpose: rank-2 or rank-3 tensor required, got {list(a.shape)}")
+    return _op(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -293,15 +318,16 @@ def conv2d(x: Tensor, w: Tensor, k: int | None = None) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a rank-2 tensor, stabilised by per-row max."""
-    if a.ndim != 2:
-        raise ValueError(f"softmax_rows: rank-2 tensor required, got {list(a.shape)}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
+    """Softmax along the last axis of a [p, q] matrix or a [B, p, q] stack,
+    stabilised by the per-row max."""
+    if a.ndim not in (2, 3):
+        raise ValueError(f"softmax_rows: rank-2 or rank-3 tensor required, got {list(a.shape)}")
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def _bw(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
+        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
     return _op(s, (a,), _bw)
 

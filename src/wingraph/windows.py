@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, permute, reshape
+from .tensor import Tensor, permute, reshape, transpose
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,19 @@ def merge(windows: Tensor, grid: WindowGrid) -> Tensor:
     blocked = reshape(windows, (g.M, g.N, g.C, g.h_w, g.w_w))
     ordered = permute(blocked, (2, 0, 3, 1, 4))
     return reshape(ordered, (g.C, g.H, g.W))
+
+
+def window_tokens(x: Tensor, grid: WindowGrid) -> Tensor:
+    """[C, H, W] -> [K, h_w * w_w, C]: each window's pixels, row-major, as
+    rows of C features, with windows stacked along the first axis."""
+    g = grid
+    return transpose(reshape(partition(x, g), (g.num_nodes, g.C, g.h_w * g.w_w)))
+
+
+def merge_tokens(tokens: Tensor, grid: WindowGrid) -> Tensor:
+    """Exact inverse of :func:`window_tokens`."""
+    g = grid
+    return merge(reshape(transpose(tokens), (g.num_nodes, g.C, g.h_w, g.w_w)), g)
 
 
 def flatten_nodes(windows: Tensor) -> Tensor:

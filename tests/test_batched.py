@@ -1,0 +1,161 @@
+"""Stacked calls equal a stack of the rank-2 calls, bit for bit.
+
+Windows run as one [B, ...] stack through the tensor ops, the graph
+functions and window attention; each slice must come out exactly as the
+per-window rank-2 call would compute it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wingraph.graph import (
+    _VARIANTS,
+    GraphConfig,
+    GraphLayer,
+    RelationMatrix,
+    make_theta,
+    node_update,
+    node_update_sparse,
+    relation,
+    run_graph,
+    sparsify,
+)
+from wingraph.model import WindowAttention
+from wingraph.tensor import (
+    Parameter,
+    Tensor,
+    add,
+    backward,
+    hadamard,
+    matmul,
+    reshape,
+    scalar_mul,
+    softmax_rows,
+    stack,
+    sum_all,
+    take,
+    transpose,
+)
+from wingraph.windows import WindowGrid, merge, partition
+
+
+@st.composite
+def node_stacks(draw):
+    """A [B, K, D] stack of normal node features, some rows all zero, and a
+    seed for whatever else the test draws."""
+    b, k, d = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    zero_rows = draw(st.lists(st.booleans(), min_size=b * k, max_size=b * k))
+    nodes = np.random.default_rng(seed).normal(size=(b, k, d))
+    nodes[np.reshape(zero_rows, (b, k))] = 0.0
+    return nodes, seed
+
+
+coefficients = st.floats(-1.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked=node_stacks(), variant=st.sampled_from(_VARIANTS),
+       coefficient=coefficients, depth=st.integers(1, 2))
+def test_run_graph_on_stack_equals_per_slice_calls(stacked, variant, coefficient, depth):
+    nodes, seed = stacked
+    rng = np.random.default_rng(seed + 1)
+    d = nodes.shape[-1]
+    layers = [GraphLayer(Parameter(rng.uniform(-1, 1, (d, d)), f"w{l}"), l) for l in range(depth)]
+    cfg = GraphConfig(variant=variant, theta_coefficient=coefficient)
+    whole = run_graph(Tensor(nodes), layers, cfg).data
+    per_slice = np.stack([run_graph(Tensor(x), layers, cfg).data for x in nodes])
+    assert np.array_equal(whole, per_slice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked=node_stacks(), variant=st.sampled_from(_VARIANTS), coefficient=coefficients)
+def test_stacked_dense_update_equals_sparse_update_of_each_slice(stacked, variant, coefficient):
+    nodes, _ = stacked
+    rel = relation(Tensor(nodes), variant)
+    theta = make_theta(rel.values, coefficient)
+    pruned = sparsify(rel, theta)
+    dense = node_update(pruned, Tensor(nodes)).data
+    for b, x in enumerate(nodes):
+        one = relation(Tensor(x), variant)
+        one = sparsify(one, make_theta(one.values, coefficient))
+        assert one.theta == theta[b]
+        assert np.array_equal(one.mask, pruned.mask[b])
+        assert np.array_equal(dense[b], node_update_sparse(one, x))
+    assert np.array_equal(dense, node_update_sparse(pruned, nodes))
+
+
+def per_window_attention(block: WindowAttention, x: Tensor, grid: WindowGrid) -> Tensor:
+    """Window attention as a loop of rank-2 ops, one window at a time."""
+    wins = partition(x, grid)
+    pixels = grid.h_w * grid.w_w
+    outs = []
+    for i in range(grid.num_nodes):
+        tokens = transpose(reshape(take(wins, i), (block.c, pixels)))
+        q, k, v = (matmul(tokens, w) for w in (block.wq, block.wk, block.wv))
+        att = softmax_rows(scalar_mul(matmul(q, transpose(k)), block.c ** -0.5))
+        outs.append(reshape(transpose(matmul(att, v)), (block.c, grid.h_w, grid.w_w)))
+    return add(x, merge(stack(outs), grid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.integers(1, 6), m=st.integers(1, 3), n=st.integers(1, 3),
+       h_w=st.integers(1, 3), w_w=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_window_attention_equals_per_window_loop(c, m, n, h_w, w_w, seed):
+    rng = np.random.default_rng(seed)
+    grid = WindowGrid(c, m * h_w, n * w_w, m, n)
+    block = WindowAttention(c, rng, "attn")
+    for p in block.named_parameters():
+        p.data = rng.uniform(-1, 1, p.shape)
+    x = Tensor(rng.uniform(-1, 1, (c, grid.H, grid.W)), requires_grad=True)
+    proj = Tensor(rng.uniform(-1, 1, x.shape))
+    leaves = [x] + block.named_parameters()
+
+    runs = []
+    for forward in (block.forward, lambda x, g: per_window_attention(block, x, g)):
+        for leaf in leaves:
+            leaf.grad = None
+        out = forward(x, grid)
+        backward(sum_all(hadamard(out, proj)))
+        runs.append([out.data] + [leaf.grad for leaf in leaves])
+    # Gradients too: shared weights sum the windows in the loop's order.
+    for batched, looped in zip(*runs):
+        assert np.array_equal(batched, looped)
+
+
+class TestStackedShapes:
+    def test_matmul_shared_and_stacked_operands(self):
+        rng = np.random.default_rng(0)
+        a, b, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 2))
+        stacked = matmul(Tensor(a), Tensor(b)).data
+        shared = matmul(Tensor(a), Tensor(w)).data
+        for i in range(3):
+            assert np.array_equal(stacked[i], matmul(Tensor(a[i]), Tensor(b[i])).data)
+            assert np.array_equal(shared[i], matmul(Tensor(a[i]), Tensor(w)).data)
+
+    def test_matmul_rejects_mismatched_stacks_and_ranks(self):
+        with pytest.raises(ValueError, match="stack sizes disagree"):
+            matmul(Tensor(np.zeros((3, 2, 2))), Tensor(np.zeros((2, 2, 2))))
+        with pytest.raises(ValueError, match=r"\[2, 2\].*\[3, 2, 2\]"):
+            matmul(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2, 2))))
+        with pytest.raises(ValueError, match="rank-2 or rank-3"):
+            softmax_rows(Tensor(np.zeros((1, 2, 2, 2))))
+
+    def test_softmax_rows_per_slice(self):
+        a = np.random.default_rng(1).normal(size=(4, 3, 5))
+        out = softmax_rows(Tensor(a)).data
+        for i in range(4):
+            assert np.array_equal(out[i], softmax_rows(Tensor(a[i])).data)
+
+    def test_theta_is_float_for_one_graph_and_per_graph_for_a_stack(self):
+        values = np.random.default_rng(2).uniform(size=(3, 4, 4))
+        assert isinstance(make_theta(values[0]), float)
+        thetas = make_theta(values, 0.5)
+        assert thetas.shape == (3,)
+        assert [make_theta(v, 0.5) for v in values] == list(thetas)
+
+    def test_relation_matrix_needs_square_slices(self):
+        with pytest.raises(ValueError, match="square"):
+            RelationMatrix(Tensor(np.zeros((2, 3, 4))), "softmax")

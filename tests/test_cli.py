@@ -160,6 +160,16 @@ class TestTrainCommand:
         assert main(["train", "--override", "bogus=1"]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_zero_step_report_is_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)] + FAST + ["--override", "steps=0"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["steps"] == 0 and report["final_loss"] is None
+
     def test_violated_constraint_exits_two_naming_it(self, capsys):
         assert main(["train"] + FAST + ["--override", "r_gr=3"]) == 2
         assert "r_gr=3 does not divide" in capsys.readouterr().err

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from wingraph.tensor import Tensor
-from wingraph.windows import WindowGrid, flatten_nodes, merge, partition, unflatten_nodes
+from wingraph.windows import (
+    WindowGrid,
+    flatten_nodes,
+    merge,
+    merge_tokens,
+    partition,
+    unflatten_nodes,
+    window_tokens,
+)
 
 
 class TestWindowGrid:
@@ -111,3 +119,21 @@ class TestFlattenNodes:
     def test_row_is_row_major_flattening(self):
         w = Tensor(np.arange(8.0).reshape(1, 2, 2, 2))
         assert np.array_equal(flatten_nodes(w).data[0], np.arange(8.0))
+
+
+class TestWindowTokens:
+    def test_token_is_one_pixel_of_one_window(self):
+        g = WindowGrid(3, 4, 6, 2, 3)
+        x = np.random.default_rng(5).normal(size=(3, 4, 6))
+        tokens = window_tokens(Tensor(x), g).data
+        assert tokens.shape == (6, 4, 3)
+        for i in range(g.num_nodes):
+            m, n = g.window_position(i)
+            for p in range(g.h_w * g.w_w):
+                r, c = divmod(p, g.w_w)
+                assert np.array_equal(tokens[i, p], x[:, m * g.h_w + r, n * g.w_w + c])
+
+    def test_merge_tokens_inverts_exactly(self):
+        g = WindowGrid(2, 6, 4, 3, 2)
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 6, 4)))
+        assert np.array_equal(merge_tokens(window_tokens(x, g), g).data, x.data)
