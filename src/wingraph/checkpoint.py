@@ -10,12 +10,14 @@ Layout (all integers little-endian):
     blob       concatenated raw little-endian float64 tensor data
 
 Offsets are relative to the start of the blob (the byte right after the
-last manifest entry).  Loading validates the whole file before touching
-the model, so a failed load leaves the model as built.
+last manifest entry), and the file ends where the last entry's data ends.
+Loading validates the whole file before touching the model, so a failed
+load leaves the model as built.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -101,7 +103,7 @@ def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
         pos += 8 * rank
         offset, length = struct.unpack_from("<QQ", raw, pos)
         pos += 16
-        expected = 8 * int(np.prod(shape, dtype=np.int64)) if rank else 8
+        expected = 8 * math.prod(shape)
         if length != expected:
             raise CheckpointError(f"entry {name!r}: byte length {length} != shape size {expected}")
         entries.append(ManifestEntry(name, dtype, tuple(int(s) for s in shape), offset, length))
@@ -129,6 +131,8 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
     needed = max((e.offset + e.length for e in entries), default=0)
     if len(blob) < needed:
         raise CheckpointError(f"truncated blob: have {len(blob)} bytes, need {needed}")
+    if len(blob) > needed:
+        raise CheckpointError(f"trailing bytes: {len(blob) - needed} after the last blob entry")
 
     model = build_model(config)
     params = model.parameters()

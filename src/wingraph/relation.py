@@ -17,15 +17,7 @@ import numpy as np
 
 from .graph import GraphConfig, GraphLayer, run_graph
 from .tensor import Parameter, Tensor, add, conv2d
-from .windows import (
-    WindowGrid,
-    flatten_nodes,
-    merge,
-    merge_tokens,
-    partition,
-    unflatten_nodes,
-    window_tokens,
-)
+from .windows import WindowGrid, merge_nodes, merge_tokens, window_nodes, window_tokens
 
 
 class FusionType(enum.Enum):
@@ -117,10 +109,8 @@ def _global_correction(x: Tensor, grid: WindowGrid, params: GlobalRelationParams
     _check_ratio(c, params.r_gr, "global relation")
     squeezed = conv2d(x, params.squeeze)
     sub = WindowGrid(c // params.r_gr, grid.H, grid.W, grid.M, grid.N)
-    nodes = flatten_nodes(partition(squeezed, sub))
-    nodes = run_graph(nodes, params.graph, cfg)
-    restored = merge(unflatten_nodes(nodes, (sub.C, sub.h_w, sub.w_w)), sub)
-    return conv2d(restored, params.unsqueeze)
+    nodes = run_graph(window_nodes(squeezed, sub), params.graph, cfg)
+    return conv2d(merge_nodes(nodes, sub), params.unsqueeze)
 
 
 def _local_correction(x: Tensor, grid: WindowGrid, params: LocalRelationParams,

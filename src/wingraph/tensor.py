@@ -4,7 +4,10 @@ Every operation works on whole tensors (not individual scalars) and records
 enough information to run the backward pass:  an op output keeps references
 to its parents and a closure that maps the output gradient to the parent
 gradients.  ``backward(loss)`` walks the tape in reverse topological order
-and accumulates gradients into every tensor that requires them.
+and passes gradients through every op, but stores ``.grad`` only on leaves
+(``Parameter``s and ``requires_grad`` inputs) and on intermediates whose
+slot already holds an array, which a caller opts in with ``zero_grad()``.
+The tape is kept after ``backward``, so calling it again accumulates again.
 
 All data is 64-bit, row-major and contiguous.  There is no broadcasting
 beyond what the ops below need, no GPU path, and no in-place arithmetic on
@@ -33,7 +36,8 @@ class Tensor:
     """A dense float64 array plus an optional gradient slot.
 
     ``data`` is always a C-contiguous float64 ndarray.  ``grad`` is either
-    None or an ndarray of the same shape; ``backward`` accumulates into it.
+    None or an ndarray of the same shape; ``backward`` accumulates into it
+    on leaves, and on an op output only once ``zero_grad()`` has opted it in.
     Tensors created by operations carry the tape links (``_parents`` and
     ``_backward``) needed for reverse-mode differentiation.
     """
@@ -62,7 +66,11 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        """Reset the gradient slot to an explicit all-zero array."""
+        """Reset the gradient slot to an explicit all-zero array.
+
+        On an op output this also opts it in: later ``backward`` calls
+        accumulate its gradient too.
+        """
         self.grad = np.zeros_like(self.data)
 
     def backward(self) -> None:
@@ -111,10 +119,14 @@ def _op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor on the tape.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for the tensors that keep one.
 
-    ``loss`` must hold a single element.  Repeated calls without a gradient
-    reset keep accumulating, matching the usual autograd contract.
+    Gradients flow through every op on the tape, but only leaves (tensors
+    with no ``_backward``: ``Parameter``s and ``requires_grad`` inputs) and
+    tensors whose ``grad`` already holds an array store them; op outputs
+    keep ``grad is None`` unless opted in with ``zero_grad()``.  ``loss``
+    must hold a single element.  Repeated calls without a gradient reset
+    keep accumulating, matching the usual autograd contract.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
@@ -140,11 +152,13 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(id(node), None)
         if g is None or not node.requires_grad:
             continue
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-        node.grad += g
         if node._backward is None:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += g
             continue
+        if node.grad is not None:
+            node.grad += g
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue

@@ -2,15 +2,16 @@
 
 A [C, H, W] map is split into an M x N grid of equal windows.  Window (m, n)
 (0-based here) gets the linear node index i = m * N + n, so iterating nodes
-walks the grid row by row.  Partition and merge are exact inverses; both are
-pure data movement, so gradients move the same way in reverse.
+walks the grid row by row.  Every window layout below has an exact inverse;
+both directions are pure data movement done as one tape op, so gradients
+move the same way in reverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, permute, reshape, transpose
+from .tensor import Tensor, _op, reshape
 
 
 @dataclass(frozen=True)
@@ -62,37 +63,80 @@ def _check_map(x: Tensor, grid: WindowGrid) -> None:
         raise ValueError(f"window grid expects [{grid.C},{grid.H},{grid.W}], got {list(x.shape)}")
 
 
+# A map seen as its windows has axes (C, M, h_w, N, w_w); each window layout
+# is one order of those axes, with the window (M, N) axes leading.
+_BLOCKS = (1, 3, 0, 2, 4)  # (M, N, C, h_w, w_w): channel-major blocks
+_TOKENS = (1, 3, 2, 4, 0)  # (M, N, h_w, w_w, C): pixels as rows of C features
+
+
+def _undo(split: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The split and axis order that undo reordering ``split`` by ``axes``."""
+    return tuple(split[a] for a in axes), tuple(axes.index(a) for a in range(len(axes)))
+
+
+def _regroup(x: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
+             out: tuple[int, ...]) -> Tensor:
+    """Reshape to ``split``, reorder axes, reshape to ``out``: one tape op,
+    whose backward runs the inverse regrouping on the gradient."""
+    moved, inverse = _undo(split, axes)
+    shape = x.shape
+    return _op(x.data.reshape(split).transpose(axes).reshape(out), (x,),
+               lambda g: (g.reshape(moved).transpose(inverse).reshape(shape),))
+
+
+def _split(g: WindowGrid) -> tuple[int, ...]:
+    return (g.C, g.M, g.h_w, g.N, g.w_w)
+
+
+def _to_windows(x: Tensor, grid: WindowGrid, axes: tuple[int, ...],
+                out: tuple[int, ...]) -> Tensor:
+    _check_map(x, grid)
+    return _regroup(x, _split(grid), axes, out)
+
+
+def _from_windows(w: Tensor, grid: WindowGrid, axes: tuple[int, ...],
+                  expected: tuple[int, ...], name: str) -> Tensor:
+    if w.shape != expected:
+        raise ValueError(f"{name} expects {list(expected)}, got {list(w.shape)}")
+    return _regroup(w, *_undo(_split(grid), axes), (grid.C, grid.H, grid.W))
+
+
 def partition(x: Tensor, grid: WindowGrid) -> Tensor:
     """Split [C, H, W] into [K, C, h_w, w_w] window blocks, K = M * N."""
-    _check_map(x, grid)
     g = grid
-    blocked = reshape(x, (g.C, g.M, g.h_w, g.N, g.w_w))
-    ordered = permute(blocked, (1, 3, 0, 2, 4))
-    return reshape(ordered, (g.num_nodes, g.C, g.h_w, g.w_w))
+    return _to_windows(x, g, _BLOCKS, (g.num_nodes, g.C, g.h_w, g.w_w))
 
 
 def merge(windows: Tensor, grid: WindowGrid) -> Tensor:
     """Exact inverse of :func:`partition`."""
     g = grid
-    expected = (g.num_nodes, g.C, g.h_w, g.w_w)
-    if windows.shape != expected:
-        raise ValueError(f"merge expects {list(expected)}, got {list(windows.shape)}")
-    blocked = reshape(windows, (g.M, g.N, g.C, g.h_w, g.w_w))
-    ordered = permute(blocked, (2, 0, 3, 1, 4))
-    return reshape(ordered, (g.C, g.H, g.W))
+    return _from_windows(windows, g, _BLOCKS, (g.num_nodes, g.C, g.h_w, g.w_w), "merge")
+
+
+def window_nodes(x: Tensor, grid: WindowGrid) -> Tensor:
+    """[C, H, W] -> [K, C * h_w * w_w]: ``flatten_nodes(partition(x, grid))``
+    as one op, each window one graph node."""
+    g = grid
+    return _to_windows(x, g, _BLOCKS, (g.num_nodes, g.C * g.h_w * g.w_w))
+
+
+def merge_nodes(nodes: Tensor, grid: WindowGrid) -> Tensor:
+    """Exact inverse of :func:`window_nodes`."""
+    g = grid
+    return _from_windows(nodes, g, _BLOCKS, (g.num_nodes, g.C * g.h_w * g.w_w), "merge_nodes")
 
 
 def window_tokens(x: Tensor, grid: WindowGrid) -> Tensor:
     """[C, H, W] -> [K, h_w * w_w, C]: each window's pixels, row-major, as
     rows of C features, with windows stacked along the first axis."""
     g = grid
-    return transpose(reshape(partition(x, g), (g.num_nodes, g.C, g.h_w * g.w_w)))
+    return _to_windows(x, g, _TOKENS, (g.num_nodes, g.h_w * g.w_w, g.C))
 
 
 def merge_tokens(tokens: Tensor, grid: WindowGrid) -> Tensor:
     """Exact inverse of :func:`window_tokens`."""
     g = grid
-    return merge(reshape(transpose(tokens), (g.num_nodes, g.C, g.h_w, g.w_w)), g)
+    return _from_windows(tokens, g, _TOKENS, (g.num_nodes, g.h_w * g.w_w, g.C), "merge_tokens")
 
 
 def flatten_nodes(windows: Tensor) -> Tensor:

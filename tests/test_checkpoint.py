@@ -103,6 +103,21 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="not valid utf-8"):
             load_checkpoint(bad, TOY)
 
+    def test_size_overflow_rejected(self):
+        # 8 * 2**32 * 2**32 wraps to 0 in 64-bit arithmetic, matching length 0
+        raw = (MAGIC + struct.pack("<HI", 1, 1) + struct.pack("<H", 1) + b"w"
+               + struct.pack("<BB", 1, 2) + struct.pack("<2Q", 2**32, 2**32)
+               + struct.pack("<QQ", 0, 0))
+        with pytest.raises(CheckpointError, match="byte length 0 != shape size"):
+            read_manifest(raw)
+
+    def test_trailing_bytes(self, trained, tmp_path):
+        _, _, path = trained
+        bad = tmp_path / "long.wgts"
+        bad.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_checkpoint(bad, TOY)
+
     def test_manifest_mismatch_different_structure(self, trained):
         _, _, path = trained
         other = dataclasses.replace(TOY, enable_ba=False)

@@ -193,6 +193,15 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ckpt)] + FAST) == 2
         assert "not valid utf-8" in capsys.readouterr().err
 
+    def test_trailing_bytes_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)] + FAST) == 0
+        ckpt = out / "checkpoint.wgts"
+        ckpt.write_bytes(ckpt.read_bytes() + b"extra")
+        assert main(["eval", "--checkpoint", str(ckpt)] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "trailing bytes" in err and "Traceback" not in err
+
     def test_structural_mismatch_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--out", str(out)] + FAST) == 0

@@ -191,6 +191,7 @@ class TestNodeUpdate:
         nodes = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         rel = relation_softmax(nodes)
         pruned = sparsify(rel, make_theta(rel.values))
+        rel.values.zero_grad()
         backward(sum_all(node_update(pruned, nodes)))
         vals_grad = rel.values.grad
         assert vals_grad is not None

@@ -226,6 +226,21 @@ class TestBackward:
         backward(loss)
         assert np.array_equal(w.grad, np.full(4, 2.0))
 
+    def test_grad_kept_on_leaves_and_opted_in_intermediates_only(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        w = Parameter(np.array([3.0, 0.5]), "w")
+        h = hadamard(x, w)
+        kept = scalar_mul(h, 2.0)
+        kept.zero_grad()
+        loss = sum_all(hadamard(kept, kept))
+        for _ in range(2):
+            backward(loss)
+        assert h.grad is None and loss.grad is None
+        # d(loss)/d(kept) = 2 * kept; each backward adds it once more
+        assert np.array_equal(kept.grad, 2 * 2 * kept.data)
+        assert np.array_equal(x.grad, 2 * 8 * w.data * h.data)
+        assert np.array_equal(w.grad, 2 * 8 * x.data * h.data)
+
     def test_reused_tensor_accumulates_both_paths(self):
         w = Parameter(np.array([2.0]), "w")
         backward(sum_all(hadamard(w, w)))

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wingraph.tensor import Tensor
+from wingraph.tensor import Tensor, backward, hadamard, permute, reshape, sum_all, transpose
 from wingraph.windows import (
     WindowGrid,
     flatten_nodes,
     merge,
+    merge_nodes,
     merge_tokens,
     partition,
     unflatten_nodes,
+    window_nodes,
     window_tokens,
 )
 
@@ -137,3 +141,75 @@ class TestWindowTokens:
         g = WindowGrid(2, 6, 4, 3, 2)
         x = Tensor(np.random.default_rng(6).normal(size=(2, 6, 4)))
         assert np.array_equal(merge_tokens(window_tokens(x, g), g).data, x.data)
+
+
+# Reference compositions of reshape/permute/transpose tape ops, one op per
+# movement step, that each one-op regrouping must reproduce exactly.
+def ref_partition(x, g):
+    blocked = permute(reshape(x, (g.C, g.M, g.h_w, g.N, g.w_w)), (1, 3, 0, 2, 4))
+    return reshape(blocked, (g.num_nodes, g.C, g.h_w, g.w_w))
+
+
+def ref_merge(w, g):
+    blocked = permute(reshape(w, (g.M, g.N, g.C, g.h_w, g.w_w)), (2, 0, 3, 1, 4))
+    return reshape(blocked, (g.C, g.H, g.W))
+
+
+def ref_window_tokens(x, g):
+    return transpose(reshape(ref_partition(x, g), (g.num_nodes, g.C, g.h_w * g.w_w)))
+
+
+def ref_merge_tokens(t, g):
+    return ref_merge(reshape(transpose(t), (g.num_nodes, g.C, g.h_w, g.w_w)), g)
+
+
+def ref_window_nodes(x, g):
+    return flatten_nodes(ref_partition(x, g))
+
+
+def ref_merge_nodes(n, g):
+    return ref_merge(unflatten_nodes(n, (g.C, g.h_w, g.w_w)), g)
+
+
+REGROUPS = {
+    "partition": (partition, ref_partition, lambda g: (g.C, g.H, g.W)),
+    "merge": (merge, ref_merge, lambda g: (g.num_nodes, g.C, g.h_w, g.w_w)),
+    "window_tokens": (window_tokens, ref_window_tokens, lambda g: (g.C, g.H, g.W)),
+    "merge_tokens": (merge_tokens, ref_merge_tokens, lambda g: (g.num_nodes, g.h_w * g.w_w, g.C)),
+    "window_nodes": (window_nodes, ref_window_nodes, lambda g: (g.C, g.H, g.W)),
+    "merge_nodes": (merge_nodes, ref_merge_nodes, lambda g: (g.num_nodes, g.C * g.h_w * g.w_w)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(REGROUPS)), c=st.integers(1, 4), m=st.integers(1, 3),
+       n=st.integers(1, 3), h_w=st.integers(1, 3), w_w=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_op_regroup_equals_movement_chain(name, c, m, n, h_w, w_w, seed):
+    fn, ref, in_shape = REGROUPS[name]
+    g = WindowGrid(c, m * h_w, n * w_w, m, n)
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=in_shape(g))
+    runs = []
+    for f in (fn, ref):
+        x = Tensor(data, requires_grad=True)
+        out = f(x, g)
+        backward(sum_all(hadamard(out, Tensor(np.arange(out.data.size, dtype=float).reshape(out.shape)))))
+        runs.append((out.shape, out.data.tobytes(), x.grad.tobytes()))
+    assert runs[0] == runs[1]
+
+
+class TestRegroupShapes:
+    def test_inverses_reject_wrong_shapes(self):
+        g = WindowGrid(2, 4, 4, 2, 2)
+        with pytest.raises(ValueError, match="merge_tokens expects"):
+            merge_tokens(Tensor(np.zeros((4, 2, 4))), g)
+        with pytest.raises(ValueError, match="merge_nodes expects"):
+            merge_nodes(Tensor(np.zeros((4, 2, 4))), g)
+
+    @pytest.mark.parametrize("name", sorted(REGROUPS))
+    def test_each_regroup_is_one_tape_op(self, name):
+        fn, _, in_shape = REGROUPS[name]
+        g = WindowGrid(2, 4, 6, 2, 3)
+        x = Tensor(np.zeros(in_shape(g)), requires_grad=True)
+        assert fn(x, g)._parents == (x,)
