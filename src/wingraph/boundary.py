@@ -48,7 +48,7 @@ class BAParams:
         return [self.squeeze, self.local, self.unsqueeze]
 
 
-def ba_coefficients(y: Tensor, params: BAParams, exact_gelu: bool = False) -> Tensor:
+def ba_coefficients(y: Tensor, params: BAParams) -> Tensor:
     """Attention coefficients, strictly inside (0, 1), same shape as ``y``.
 
     Pipeline: squeeze -> 7x7 conv -> GELU -> unsqueeze -> sigmoid.  The
@@ -62,14 +62,14 @@ def ba_coefficients(y: Tensor, params: BAParams, exact_gelu: bool = False) -> Te
                          f"{y.shape[0]} channels")
     h = conv2d(y, params.squeeze)
     h = conv2d(h, params.local)
-    h = gelu(h, exact=exact_gelu)
+    h = gelu(h)
     h = conv2d(h, params.unsqueeze)
     return sigmoid(h)
 
 
-def ba_apply(y: Tensor, params: BAParams, exact_gelu: bool = False) -> Tensor:
+def ba_apply(y: Tensor, params: BAParams) -> Tensor:
     """Reweigh features by their attention coefficients (elementwise)."""
-    return hadamard(y, ba_coefficients(y, params, exact_gelu=exact_gelu))
+    return hadamard(y, ba_coefficients(y, params))
 
 
 def ba_param_count(c: int, r_ba: int) -> int:

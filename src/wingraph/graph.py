@@ -18,8 +18,11 @@ Node propagation accumulates over the neighbour index j in ascending
 order, within each slice of a stack.  Because adding an exact float zero
 never changes a finite partial sum, the sparse evaluation (which skips
 pruned entries entirely) produces bit-for-bit the same output as the
-dense masked product.  Benchmarks and tests rely on this; do not replace
-the accumulation loops with a BLAS matmul.
+dense masked product.  The dense loop may accumulate on the transposed
+[D, K] output when nodes have several features but fewer than the graph
+has nodes; that changes the memory layout only, not any element's order
+of additions.  Benchmarks and tests rely on this; do not replace the
+accumulation loops with a BLAS matmul.
 """
 
 from __future__ import annotations
@@ -185,11 +188,22 @@ def sparsify(rel: RelationMatrix, theta: float | np.ndarray) -> RelationMatrix:
 
 
 def node_update_dense_data(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Dense propagation over raw arrays, neighbour index ascending."""
-    out = np.zeros(values.shape[:-1] + nodes.shape[-1:])
-    for j in range(values.shape[-1]):
-        out += values[..., :, j, None] * nodes[..., j, None, :]
-    return out
+    """Dense propagation over raw arrays, neighbour index ascending.
+
+    With several features but fewer than nodes (1 < D < K) the loop
+    accumulates the transposed [..., D, K] output, so each step's product
+    runs along the longer axis; every element still gets the same products
+    in the same order.  With D = 1 both layouts are the same in memory.
+    """
+    k, d = nodes.shape[-2:]
+    transposed = 1 < d < k
+    cols, rows = values, nodes
+    if transposed:
+        cols, rows = (np.ascontiguousarray(np.swapaxes(x, -1, -2)) for x in (nodes, values))
+    out = np.zeros(cols.shape[:-1] + rows.shape[-1:])
+    for j in range(k):
+        out += cols[..., :, j, None] * rows[..., j, None, :]
+    return np.ascontiguousarray(np.swapaxes(out, -1, -2)) if transposed else out
 
 
 def node_update_sparse_data(values: np.ndarray, mask: np.ndarray, nodes: np.ndarray) -> np.ndarray:

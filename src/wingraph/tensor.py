@@ -217,8 +217,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if db.ndim > bd.ndim:
             # A shared b receives the sum of every slice's contribution, added
             # in ascending slice order as a loop of rank-2 calls would add
-            # them; a running sum keeps that order where sum() may not.
-            db = np.cumsum(db, axis=0)[-1]
+            # them (sum() may pair them up differently).  db is private to
+            # this closure, so the running sum accumulates in place into its
+            # first slice rather than building all B partial sums.
+            acc = db[0]
+            for i in range(1, db.shape[0]):
+                acc += db[i]
+            db = acc
         return (da, db)
 
     return _op(np.matmul(ad, bd), (a, b), _bw)
@@ -336,12 +341,17 @@ def softmax_rows(a: Tensor) -> Tensor:
     stabilised by the per-row max."""
     if a.ndim not in (2, 3):
         raise ValueError(f"softmax_rows: rank-2 or rank-3 tensor required, got {list(a.shape)}")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    # In place on one buffer: the same elementwise steps as e / e.sum() with
+    # e = exp(a - max), and as s * (g - (g * s).sum()) backward.
+    s = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def _bw(g):
-        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
+        t = g * s
+        np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
+        t *= s
+        return (t,)
 
     return _op(s, (a,), _bw)
 
@@ -376,11 +386,10 @@ def sigmoid(x: Tensor) -> Tensor:
     Output is strictly inside (0, 1) until float64 saturates (|x| > ~36).
     """
     xd = x.data
-    out = np.empty_like(xd)
     pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    e = np.exp(xd[~pos])
-    out[~pos] = e / (1.0 + e)
+    # exp only ever sees -|x|: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below.
+    e = np.exp(np.where(pos, -xd, xd))
+    out = np.where(pos, 1.0, e) / (1.0 + e)
     return _op(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 

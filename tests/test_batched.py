@@ -17,6 +17,7 @@ from wingraph.graph import (
     RelationMatrix,
     make_theta,
     node_update,
+    node_update_dense_data,
     node_update_sparse,
     relation,
     run_graph,
@@ -85,6 +86,58 @@ def test_stacked_dense_update_equals_sparse_update_of_each_slice(stacked, varian
         assert np.array_equal(one.mask, pruned.mask[b])
         assert np.array_equal(dense[b], node_update_sparse(one, x))
     assert np.array_equal(dense, node_update_sparse(pruned, nodes))
+
+
+def with_signed_zeros(shape, seed):
+    """Normal entries of both signs, with some set to exactly 0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=shape)
+    kinds = rng.integers(0, 4, size=shape)  # 0, 1: keep; 2: +0.0; 3: -0.0
+    data[kinds == 2] = 0.0
+    data[kinds == 3] = -0.0
+    return data
+
+
+def ascending_j_reference(values, nodes):
+    """The ascending-neighbour loop with the output's feature axis
+    innermost, whatever the shapes: the reference for both layouts."""
+    out = np.zeros(values.shape[:-1] + nodes.shape[-1:])
+    for j in range(values.shape[-1]):
+        out += values[..., :, j, None] * nodes[..., j, None, :]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked=st.booleans(), b=st.integers(1, 4), k=st.integers(1, 12),
+       narrow=st.booleans(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_update_equals_ascending_j_reference(stacked, b, k, narrow, data, seed):
+    # Both layouts: fewer features than nodes (D < K, including D = 1) and
+    # at least as many.
+    d = data.draw(st.integers(1, k - 1) if narrow and k > 1 else st.integers(k, 12))
+    lead = (b,) if stacked else ()
+    values = with_signed_zeros(lead + (k, k), seed)
+    nodes = with_signed_zeros(lead + (k, d), seed + 1)
+    out = node_update_dense_data(values, nodes)
+    assert out.shape == lead + (k, d) and out.flags["C_CONTIGUOUS"]
+    assert out.tobytes() == ascending_j_reference(values, nodes).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 20), p=st.integers(1, 5), q=st.integers(1, 5), s=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_matmul_gradient_equals_ascending_loop(b, p, q, s, seed):
+    rng = np.random.default_rng(seed)
+    # A 1x1 weight makes the window axis the only one summed over, where
+    # numpy's sum() pairs terms up instead of adding them in order.
+    for q_w, s_w in ((q, s), (1, 1)):
+        a, g = rng.normal(size=(b, p, q_w)), rng.normal(size=(b, p, s_w))
+        a[rng.random(a.shape) < 0.2] = -0.0
+        out = matmul(Tensor(a), Parameter(rng.normal(size=(q_w, s_w)), "w"))
+        _, dw = out._backward(g)
+        expected = np.matmul(a[0].T, g[0])
+        for i in range(1, b):
+            expected = expected + np.matmul(a[i].T, g[i])
+        assert dw.tobytes() == expected.tobytes()
 
 
 def per_window_attention(block: WindowAttention, x: Tensor, grid: WindowGrid) -> Tensor:

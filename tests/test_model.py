@@ -14,6 +14,7 @@ from wingraph.model import (
 )
 from wingraph.data import synth_dataset
 from wingraph.relation import FusionType
+from wingraph.tensor import cross_entropy_logits
 
 TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
                       r_gr=2, r_lr=2, r_ba=2, dataset_size=2, steps=5)
@@ -121,3 +122,29 @@ class TestForward:
         for fusion in FusionType:
             model = build_model(dataclasses.replace(TOY, fusion=fusion))
             assert model.forward(image).shape == (2, 4, 4)
+
+
+def tape_ops(out) -> int:
+    """Op nodes (``_backward is not None``) reachable from ``out``."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
+class TestTapeSize:
+    # The benchmark's toy and medium training scales: windows are one stack
+    # axis, so the tape does not grow with the window count.
+    @pytest.mark.parametrize("scale", [
+        dict(C=16, H=8, W=8, stages=((2, 2, 2), (2, 2, 2))),
+        dict(C=32, H=32, W=32, stages=((2, 4, 4), (2, 4, 4))),
+    ], ids=["toy", "medium"])
+    def test_training_loss_records_97_ops(self, scale):
+        config = SegmenterConfig(**scale, relation_variant="softmax")
+        image, labels = synth_dataset("blobs", 1, config.H, config.W, config.num_classes, 0)[0]
+        loss = cross_entropy_logits(build_model(config).forward(image), labels)
+        assert tape_ops(loss) == 97

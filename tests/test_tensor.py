@@ -310,3 +310,33 @@ class TestFiniteness:
         for out in (softmax_rows(x), sigmoid(x), gelu(x), gelu(x, exact=True),
                     matmul(x, x), hadamard(x, x), add(x, x), scalar_mul(x, 3.0)):
             assert np.isfinite(out.data).all()
+
+
+class TestNoAliasing:
+    """Kernels that reuse buffers internally must still leave their inputs,
+    the upstream gradient and their own output alone."""
+
+    @pytest.mark.parametrize("op, shapes", [
+        (softmax_rows, [(4, 5)]),
+        (softmax_rows, [(3, 4, 5)]),
+        (matmul, [(3, 4, 5), (5, 2)]),
+        (matmul, [(3, 4, 5), (3, 5, 2)]),
+        (sigmoid, [(4, 5)]),
+    ], ids=["softmax_rows", "softmax_rows_stacked", "matmul_shared", "matmul_stacked", "sigmoid"])
+    def test_forward_and_backward_leave_operands_unchanged(self, op, shapes):
+        rng = np.random.default_rng(13)
+        inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        inputs_before = [x.data.tobytes() for x in inputs]
+        out = op(*inputs)
+        out_before = out.data.tobytes()
+        g = rng.normal(size=out.shape)
+        g_before = g.tobytes()
+        grads = out._backward(g)
+        assert [x.data.tobytes() for x in inputs] == inputs_before
+        assert g.tobytes() == g_before
+        assert out.data.tobytes() == out_before
+        operands = [x.data for x in inputs] + [g]
+        for produced in (out.data, *grads):
+            assert not any(np.shares_memory(produced, a) for a in operands)
+        for grad in grads:
+            assert not np.shares_memory(grad, out.data)
