@@ -9,6 +9,13 @@ and a relative one for large gradients.
 Scopes group checks: raw tensor ops, the graph primitives, window
 self-attention, the global and local relation modules, the fused block in
 all three fusions, and the boundary gate.  ``all`` runs everything.
+
+``SCOPES`` is a table of ``(op name, check)`` rows.  A row's random stream
+is seeded with ``seed * 1000 + index``, its index in the scope it runs in,
+so a new check is a row appended at the end of a scope's list: inserted
+anywhere else it moves the seed, and so the output, of every later row.
+``all`` numbers the rows of every scope in order, so only a row appended
+to the last scope (or a new last scope) leaves all of its seeds in place.
 """
 
 from __future__ import annotations
@@ -98,297 +105,138 @@ def _leaf(rng: np.random.Generator, shape) -> T.Tensor:
     return T.Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
 
 
-def _projection(rng: np.random.Generator, shape) -> T.Tensor:
-    return T.Tensor(rng.uniform(-1.0, 1.0, shape))
+def _projected_check(name, rng, forward, leaves, max_entries=None) -> CheckResult:
+    """Check the loss ``sum(forward() * proj)`` for a random ``proj`` of the output's shape."""
+    proj = T.Tensor(rng.uniform(-1.0, 1.0, forward().shape))
+    return check_gradients(name, lambda: T.sum_all(T.hadamard(forward(), proj)), leaves, rng,
+                           max_entries)
 
 
-def _projected(out: T.Tensor, proj: T.Tensor) -> T.Tensor:
-    return T.sum_all(T.hadamard(out, proj))
+def _op_check(fn, *shapes):
+    """A check of ``fn`` on one random leaf per shape, drawn in order."""
+    def check(name, rng):
+        leaves = [_leaf(rng, shape) for shape in shapes]
+        return _projected_check(name, rng, lambda: fn(*leaves), leaves)
+    return check
 
 
-# ---------------------------------------------------------------------------
-# tensor_ops scope
+def _module_check(build, shape=(4, 4, 4)):
+    """A sampled check of a module: ``build(rng)`` gives its forward and parameters."""
+    def check(name, rng):
+        x = _leaf(rng, shape)
+        forward, params = build(rng)
+        return _projected_check(name, rng, lambda: forward(x), [x] + params, max_entries=30)
+    return check
 
 
-def _matmul_check(name, rng, a_shape, b_shape):
-    a, b = _leaf(rng, a_shape), _leaf(rng, b_shape)
-    proj = _projection(rng, a_shape[:-1] + b_shape[-1:])
-    return check_gradients(name, lambda: _projected(T.matmul(a, b), proj), [a, b], rng)
-
-
-def _check_matmul(rng):
-    return _matmul_check("matmul", rng, (10, 6), (6, 8))
-
-
-def _check_matmul_stacked(rng):
-    return _matmul_check("matmul_stacked", rng, (3, 4, 5), (3, 5, 6))
-
-
-def _check_matmul_shared(rng):
-    return _matmul_check("matmul_shared", rng, (4, 5, 6), (6, 7))
-
-
-def _conv_check(name, rng, x_shape, w_shape):
-    x, w = _leaf(rng, x_shape), _leaf(rng, w_shape)
-    proj = _projection(rng, (w_shape[0],) + x_shape[1:])
-    return check_gradients(name, lambda: _projected(T.conv2d(x, w), proj), [x, w], rng)
-
-
-def _check_conv2d_k1(rng):
-    return _conv_check("conv2d_k1", rng, (4, 5, 5), (3, 4, 1, 1))
-
-
-def _check_conv2d_k3(rng):
-    return _conv_check("conv2d_k3", rng, (2, 6, 6), (2, 2, 3, 3))
-
-
-def _check_conv2d_k7(rng):
-    return _conv_check("conv2d_k7", rng, (1, 8, 8), (1, 1, 7, 7))
-
-
-def _softmax_check(name, rng, shape):
-    a = _leaf(rng, shape)
-    proj = _projection(rng, shape)
-    return check_gradients(name, lambda: _projected(T.softmax_rows(a), proj), [a], rng)
-
-
-def _check_softmax_rows(rng):
-    return _softmax_check("softmax_rows", rng, (10, 10))
-
-
-def _check_softmax_rows_stacked(rng):
-    return _softmax_check("softmax_rows_stacked", rng, (3, 6, 6))
-
-
-def _elementwise_check(name, rng, fn):
-    x = _leaf(rng, (108,))
-    proj = _projection(rng, (108,))
-    return check_gradients(name, lambda: _projected(fn(x), proj), [x], rng)
-
-
-def _check_gelu(rng):
-    return _elementwise_check("gelu", rng, T.gelu)
-
-
-def _check_gelu_erf(rng):
-    return _elementwise_check("gelu_erf", rng, lambda x: T.gelu(x, exact=True))
-
-
-def _check_sigmoid(rng):
-    return _elementwise_check("sigmoid", rng, T.sigmoid)
-
-
-def _check_hadamard(rng):
-    a, b = _leaf(rng, (60,)), _leaf(rng, (60,))
-    proj = _projection(rng, (60,))
-    return check_gradients("hadamard", lambda: _projected(T.hadamard(a, b), proj), [a, b], rng)
-
-
-def _check_add(rng):
-    a, b = _leaf(rng, (60,)), _leaf(rng, (60,))
-    proj = _projection(rng, (60,))
-    return check_gradients("add", lambda: _projected(T.add(a, b), proj), [a, b], rng)
-
-
-def _check_scalar_mul(rng):
-    x = _leaf(rng, (108,))
-    proj = _projection(rng, (108,))
-    return check_gradients("scalar_mul", lambda: _projected(T.scalar_mul(x, -1.7), proj), [x], rng)
-
-
-def _check_sum_of_sigmoid(rng):
+def _sum_of_sigmoid(name, rng):
     w = _leaf(rng, (108,))
-    return check_gradients("sum_of_sigmoid", lambda: T.sum_all(T.sigmoid(w)), [w], rng)
+    return check_gradients(name, lambda: T.sum_all(T.sigmoid(w)), [w], rng)
 
 
-def _check_cross_entropy(rng):
+def _cross_entropy(name, rng):
     logits = _leaf(rng, (3, 6, 6))
     labels = rng.integers(0, 3, (6, 6))
-    return check_gradients("cross_entropy", lambda: T.cross_entropy_logits(logits, labels),
-                           [logits], rng)
+    return check_gradients(name, lambda: T.cross_entropy_logits(logits, labels), [logits], rng)
 
 
-def _check_window_roundtrip(rng):
-    x = _leaf(rng, (3, 6, 6))
+def _window_roundtrip(x):
     grid = WindowGrid(3, 6, 6, 2, 3)
-    proj = _projection(rng, (3, 6, 6))
-
-    def loss():
-        wins = partition(x, grid)
-        nodes = flatten_nodes(wins)
-        back = merge(unflatten_nodes(nodes, (3, grid.h_w, grid.w_w)), grid)
-        return _projected(back, proj)
-
-    return check_gradients("window_roundtrip", loss, [x], rng)
+    nodes = flatten_nodes(partition(x, grid))
+    return merge(unflatten_nodes(nodes, (3, grid.h_w, grid.w_w)), grid)
 
 
-# ---------------------------------------------------------------------------
-# graph scope
+def _pruned_update(nodes):
+    rel = relation_softmax(nodes)
+    return node_update(sparsify(rel, make_theta(rel.values, 0.25)), nodes)
 
 
-def _check_relation_cosine(rng):
-    nodes = _leaf(rng, (6, 8))
-    proj = _projection(rng, (6, 6))
-    return check_gradients("relation_cosine",
-                           lambda: _projected(relation_cosine(nodes).values, proj), [nodes], rng)
+def _run_graph_check(variant, depth, stack=()):
+    def check(name, rng):
+        nodes = _leaf(rng, stack + (5, 6))
+        weights = [T.Parameter(rng.uniform(-0.7, 0.7, (6, 6)), f"w{l}") for l in range(depth)]
+        layers = [GraphLayer(w) for w in weights]
+        cfg = GraphConfig(variant=variant, theta_coefficient=0.25)
+        return _projected_check(name, rng, lambda: run_graph(nodes, layers, cfg), [nodes] + weights)
+    return check
 
 
-def _check_relation_softmax(rng):
-    nodes = _leaf(rng, (6, 8))
-    proj = _projection(rng, (6, 6))
-    return check_gradients("relation_softmax",
-                           lambda: _projected(relation_softmax(nodes).values, proj), [nodes], rng)
-
-
-def _check_node_update(rng):
-    nodes = _leaf(rng, (6, 8))
-    proj = _projection(rng, (6, 8))
-
-    def loss():
-        rel = relation_softmax(nodes)
-        rel = sparsify(rel, make_theta(rel.values, 0.25))
-        return _projected(node_update(rel, nodes), proj)
-
-    return check_gradients("node_update", loss, [nodes], rng)
-
-
-def _check_graph_conv(rng):
-    nodes = _leaf(rng, (6, 8))
-    weight = T.Parameter(rng.uniform(-1, 1, (8, 8)), "w")
-    layer = GraphLayer(weight)
-    proj = _projection(rng, (6, 8))
-    return check_gradients("graph_conv", lambda: _projected(graph_conv(nodes, layer), proj),
-                           [nodes, weight], rng)
-
-
-def _run_graph_check(name, rng, variant, depth, stack=()):
-    nodes = _leaf(rng, stack + (5, 6))
-    weights = [T.Parameter(rng.uniform(-0.7, 0.7, (6, 6)), f"w{l}") for l in range(depth)]
-    layers = [GraphLayer(w, l) for l, w in enumerate(weights)]
-    cfg = GraphConfig(variant=variant, theta_coefficient=0.25)
-    proj = _projection(rng, stack + (5, 6))
-    return check_gradients(name, lambda: _projected(run_graph(nodes, layers, cfg), proj),
-                           [nodes] + weights, rng)
-
-
-def _check_run_graph(rng):
-    return _run_graph_check("run_graph_L2", rng, "softmax", 2)
-
-
-def _check_run_graph_cosine(rng):
-    return _run_graph_check("run_graph_cosine", rng, "cosine", 1)
-
-
-def _check_run_graph_stacked(rng):
-    return _run_graph_check("run_graph_stacked", rng, "softmax", 2, stack=(3,))
-
-
-def _check_run_graph_stacked_cosine(rng):
-    return _run_graph_check("run_graph_stacked_cosine", rng, "cosine", 1, stack=(3,))
-
-
-# ---------------------------------------------------------------------------
-# module scopes (gr / lr / gt / ba)
-
-_MODULE_MAX_ENTRIES = 30
-
-
-def _toy_setup(rng):
-    c, h, w = 4, 4, 4
-    grid = WindowGrid(c, h, w, 2, 2)
-    x = _leaf(rng, (c, h, w))
-    gr = GlobalRelationParams.create(c, grid, 2, 1, rng, "gr")
-    lr = LocalRelationParams.create(c, 2, 1, rng, "lr")
-    # Zero-initialised unsqueeze weights would zero these gradients too;
-    # randomise them so the check exercises the full path.
-    gr.unsqueeze.data = rng.uniform(-1, 1, gr.unsqueeze.shape)
-    lr.unsqueeze.data = rng.uniform(-1, 1, lr.unsqueeze.shape)
-    cfg = GraphConfig()
-    proj = _projection(rng, (c, h, w))
-    return grid, x, gr, lr, cfg, proj
-
-
-def _check_gr(rng):
-    grid, x, gr, _, cfg, proj = _toy_setup(rng)
-    leaves = [x] + gr.named_parameters()
-    return check_gradients("global_relation",
-                           lambda: _projected(global_relation(x, grid, gr, cfg), proj),
-                           leaves, rng, max_entries=_MODULE_MAX_ENTRIES)
-
-
-def _check_lr(rng):
-    grid, x, _, lr, cfg, proj = _toy_setup(rng)
-    leaves = [x] + lr.named_parameters()
-    return check_gradients("local_relation",
-                           lambda: _projected(local_relation(x, grid, lr, cfg), proj),
-                           leaves, rng, max_entries=_MODULE_MAX_ENTRIES)
-
-
-def _gt_check(name, rng, fusion):
-    grid, x, gr, lr, cfg, proj = _toy_setup(rng)
-    leaves = [x] + gr.named_parameters() + lr.named_parameters()
-    return check_gradients(
-        name,
-        lambda: _projected(graph_transformer_block(x, grid, gr, lr, fusion, cfg), proj),
-        leaves, rng, max_entries=_MODULE_MAX_ENTRIES)
-
-
-def _check_gt_gr_then_lr(rng):
-    return _gt_check("gt_gr_then_lr", rng, FusionType.GR_THEN_LR)
-
-
-def _check_gt_lr_then_gr(rng):
-    return _gt_check("gt_lr_then_gr", rng, FusionType.LR_THEN_GR)
-
-
-def _check_gt_parallel(rng):
-    return _gt_check("gt_parallel", rng, FusionType.PARALLEL)
-
-
-def _check_window_attention(rng):
-    c, h, w = 4, 4, 4
-    grid = WindowGrid(c, h, w, 2, 2)
-    x = _leaf(rng, (c, h, w))
+def _window_attention(rng):
+    block = WindowAttention(4, rng, "attn")
     # Default-scale weights give near-uniform attention; wider ones make the
     # softmax part of the path matter.
-    block = WindowAttention(c, rng, "attn")
     for p in block.named_parameters():
         p.data = rng.uniform(-1, 1, p.shape)
-    proj = _projection(rng, (c, h, w))
-    return check_gradients("window_attention", lambda: _projected(block.forward(x, grid), proj),
-                           [x] + block.named_parameters(), rng, max_entries=_MODULE_MAX_ENTRIES)
+    grid = WindowGrid(4, 4, 4, 2, 2)
+    return (lambda x: block.forward(x, grid)), block.named_parameters()
 
 
-def _check_ba(rng):
-    c, h, w = 4, 5, 5
-    y = _leaf(rng, (c, h, w))
-    params = BAParams.create(c, 2, rng, "ba")
+def _relation_check(forward, *branches):
+    """A module check of ``forward(x, grid, gr, lr)`` over the named branches' parameters.
+
+    Both branches' parameters are drawn for every row, so each row sees the
+    same random stream whichever branches it checks.
+    """
+    def build(rng):
+        grid = WindowGrid(4, 4, 4, 2, 2)
+        params = {"gr": GlobalRelationParams.create(4, grid, 2, 1, rng, "gr"),
+                  "lr": LocalRelationParams.create(4, 2, 1, rng, "lr")}
+        # Zero-initialised unsqueeze weights would zero these gradients too;
+        # randomise them so the check exercises the full path.
+        for branch in params.values():
+            branch.unsqueeze.data = rng.uniform(-1, 1, branch.unsqueeze.shape)
+        leaves = [p for b in branches for p in params[b].named_parameters()]
+        return (lambda x: forward(x, grid, params["gr"], params["lr"])), leaves
+    return _module_check(build)
+
+
+def _boundary_attention(rng):
+    params = BAParams.create(4, 2, rng, "ba")
     params.unsqueeze.data = rng.uniform(-1, 1, params.unsqueeze.shape)
-    proj = _projection(rng, (c, h, w))
-    leaves = [y] + params.named_parameters()
-    return check_gradients("boundary_attention",
-                           lambda: _projected(ba_apply(y, params), proj),
-                           leaves, rng, max_entries=_MODULE_MAX_ENTRIES)
+    return (lambda y: ba_apply(y, params)), params.named_parameters()
 
 
+# Rows look their ops up when the check runs, so a patched ``tensor``
+# function is the one checked.
 SCOPES: dict[str, list] = {
     "tensor_ops": [
-        _check_matmul, _check_conv2d_k1, _check_conv2d_k3, _check_conv2d_k7,
-        _check_softmax_rows, _check_gelu, _check_gelu_erf, _check_sigmoid,
-        _check_hadamard, _check_add, _check_scalar_mul, _check_sum_of_sigmoid,
-        _check_cross_entropy, _check_window_roundtrip,
-        _check_matmul_stacked, _check_matmul_shared, _check_softmax_rows_stacked,
+        ("matmul", _op_check(lambda a, b: T.matmul(a, b), (10, 6), (6, 8))),
+        ("conv2d_k1", _op_check(lambda x, w: T.conv2d(x, w), (4, 5, 5), (3, 4, 1, 1))),
+        ("conv2d_k3", _op_check(lambda x, w: T.conv2d(x, w), (2, 6, 6), (2, 2, 3, 3))),
+        ("conv2d_k7", _op_check(lambda x, w: T.conv2d(x, w), (1, 8, 8), (1, 1, 7, 7))),
+        ("softmax_rows", _op_check(lambda a: T.softmax_rows(a), (10, 10))),
+        ("gelu", _op_check(lambda x: T.gelu(x), (108,))),
+        ("gelu_erf", _op_check(lambda x: T.gelu(x, exact=True), (108,))),
+        ("sigmoid", _op_check(lambda x: T.sigmoid(x), (108,))),
+        ("hadamard", _op_check(lambda a, b: T.hadamard(a, b), (60,), (60,))),
+        ("add", _op_check(lambda a, b: T.add(a, b), (60,), (60,))),
+        ("scalar_mul", _op_check(lambda x: T.scalar_mul(x, -1.7), (108,))),
+        ("sum_of_sigmoid", _sum_of_sigmoid),
+        ("cross_entropy", _cross_entropy),
+        ("window_roundtrip", _op_check(_window_roundtrip, (3, 6, 6))),
+        ("matmul_stacked", _op_check(lambda a, b: T.matmul(a, b), (3, 4, 5), (3, 5, 6))),
+        ("matmul_shared", _op_check(lambda a, b: T.matmul(a, b), (4, 5, 6), (6, 7))),
+        ("softmax_rows_stacked", _op_check(lambda a: T.softmax_rows(a), (3, 6, 6))),
     ],
     "graph": [
-        _check_relation_cosine, _check_relation_softmax, _check_node_update,
-        _check_graph_conv, _check_run_graph, _check_run_graph_cosine,
-        _check_run_graph_stacked, _check_run_graph_stacked_cosine,
+        ("relation_cosine", _op_check(lambda n: relation_cosine(n).values, (6, 8))),
+        ("relation_softmax", _op_check(lambda n: relation_softmax(n).values, (6, 8))),
+        ("node_update", _op_check(_pruned_update, (6, 8))),
+        ("graph_conv", _op_check(lambda n, w: graph_conv(n, GraphLayer(w)), (6, 8), (8, 8))),
+        ("run_graph_L2", _run_graph_check("softmax", 2)),
+        ("run_graph_cosine", _run_graph_check("cosine", 1)),
+        ("run_graph_stacked", _run_graph_check("softmax", 2, stack=(3,))),
+        ("run_graph_stacked_cosine", _run_graph_check("cosine", 1, stack=(3,))),
     ],
-    "attention": [_check_window_attention],
-    "gr": [_check_gr],
-    "lr": [_check_lr],
-    "gt": [_check_gt_gr_then_lr, _check_gt_lr_then_gr, _check_gt_parallel],
-    "ba": [_check_ba],
+    "attention": [("window_attention", _module_check(_window_attention))],
+    "gr": [("global_relation", _relation_check(
+        lambda x, grid, gr, lr: global_relation(x, grid, gr, GraphConfig()), "gr"))],
+    "lr": [("local_relation", _relation_check(
+        lambda x, grid, gr, lr: local_relation(x, grid, lr, GraphConfig()), "lr"))],
+    "gt": [(f"gt_{fusion.value}", _relation_check(
+        lambda x, grid, gr, lr, fusion=fusion: graph_transformer_block(
+            x, grid, gr, lr, fusion, GraphConfig()), "gr", "lr")) for fusion in FusionType],
+    "ba": [("boundary_attention", _module_check(_boundary_attention, (4, 5, 5)))],
 }
 
 SCOPE_NAMES = tuple(SCOPES) + ("all",)
@@ -403,8 +251,8 @@ def run_scope(scope: str, seed: int) -> list[CheckResult]:
     else:
         raise ValueError(f"unknown gradcheck scope {scope!r}; expected one of {SCOPE_NAMES}")
     results = []
-    for index, check in enumerate(checks):
-        results.append(check(np.random.default_rng(seed * 1000 + index)))
+    for index, (name, check) in enumerate(checks):
+        results.append(check(name, np.random.default_rng(seed * 1000 + index)))
     return results
 
 

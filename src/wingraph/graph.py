@@ -84,7 +84,6 @@ class GraphLayer:
     """One propagation round's learnable weighting matrix."""
 
     weight: Parameter
-    layer_index: int = 0
 
     def __post_init__(self):
         if self.weight.ndim != 2:

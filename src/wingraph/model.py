@@ -111,8 +111,10 @@ class SegmenterConfig:
             raise ConfigError(f"dataset_size must be >= 1, got {self.dataset_size}")
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def graph_config(self) -> GraphConfig:
         return GraphConfig(variant=self.relation_variant,

@@ -45,7 +45,7 @@ def _graph_layers(dim: int, depth: int, rng: np.random.Generator, prefix: str) -
     layers = []
     for l in range(depth):
         weight = Parameter(rng.normal(0.0, dim ** -0.5, (dim, dim)), f"{prefix}.graph{l}")
-        layers.append(GraphLayer(weight, layer_index=l))
+        layers.append(GraphLayer(weight))
     return tuple(layers)
 
 

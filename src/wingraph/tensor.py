@@ -73,26 +73,9 @@ class Tensor:
         """
         self.grad = np.zeros_like(self.data)
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={list(self.shape)}{flag})"
-
-    # Small amount of operator sugar; the named functions are the real API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return scalar_mul(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -281,7 +264,7 @@ def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
     return _op(np.where(kept, a.data, 0.0), (a,), lambda g: (np.where(kept, g, 0.0),))
 
 
-def conv2d(x: Tensor, w: Tensor, k: int | None = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor) -> Tensor:
     """Same-size 2-D cross-correlation with zero padding and no bias.
 
     ``x`` is [C_in, H, W]; ``w`` is [C_out, C_in, k, k] with odd ``k``.
@@ -289,12 +272,9 @@ def conv2d(x: Tensor, w: Tensor, k: int | None = None) -> Tensor:
     """
     if x.ndim != 3 or w.ndim != 4:
         raise ValueError(f"conv2d: need [C,H,W] input and [O,C,k,k] weights, got {list(x.shape)} and {list(w.shape)}")
-    c_out, c_in, kh, kw = w.shape
-    if kh != kw:
-        raise ValueError(f"conv2d: square kernels only, got {kh}x{kw}")
-    if k is not None and k != kh:
-        raise ValueError(f"conv2d: declared kernel size {k} does not match weights {kh}")
-    k = kh
+    c_out, c_in, k, kw = w.shape
+    if k != kw:
+        raise ValueError(f"conv2d: square kernels only, got {k}x{kw}")
     if k % 2 == 0:
         raise ValueError(f"conv2d: even kernel size {k} rejected, same-size padding needs odd k")
     if x.shape[0] != c_in:

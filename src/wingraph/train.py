@@ -41,8 +41,8 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
     """
     if not dataset:
         raise ValueError("train: empty dataset")
-    if lr <= 0:
-        raise ValueError(f"train: lr must be positive, got {lr}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"train: lr must be positive and finite, got {lr}")
     report = TrainingReport(param_count=model.param_count())
     for step in range(steps):
         image, labels = dataset[step % len(dataset)]

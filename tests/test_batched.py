@@ -64,7 +64,7 @@ def test_run_graph_on_stack_equals_per_slice_calls(stacked, variant, coefficient
     nodes, seed = stacked
     rng = np.random.default_rng(seed + 1)
     d = nodes.shape[-1]
-    layers = [GraphLayer(Parameter(rng.uniform(-1, 1, (d, d)), f"w{l}"), l) for l in range(depth)]
+    layers = [GraphLayer(Parameter(rng.uniform(-1, 1, (d, d)), f"w{l}")) for l in range(depth)]
     cfg = GraphConfig(variant=variant, theta_coefficient=coefficient)
     whole = run_graph(Tensor(nodes), layers, cfg).data
     per_slice = np.stack([run_graph(Tensor(x), layers, cfg).data for x in nodes])

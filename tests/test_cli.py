@@ -268,6 +268,13 @@ UNREADABLE_INPUTS = {
     "bench_zero_repeats": lambda tmp_path: ["bench", "--repeats", "0"],
     "bench_zero_K": lambda tmp_path: ["bench", "--K", "0"],
     "bench_zero_D": lambda tmp_path: ["bench", "--D", "0"],
+    "negative_seed_override": lambda tmp_path: [
+        "train", "--override", "seed=-1", "--out", str(tmp_path / "out")],
+    "gradcheck_negative_seed": lambda tmp_path: ["gradcheck", "gr", "--seed", "-1"],
+    "bench_negative_seed": lambda tmp_path: [
+        "bench", "--seed", "-1", "--K", "2", "--D", "2", "--c", "1", "--repeats", "1"],
+    "nan_lr": lambda tmp_path: ["train", "--override", "lr=nan", "--out", str(tmp_path / "out")],
+    "inf_lr": lambda tmp_path: ["train", "--override", "lr=inf", "--out", str(tmp_path / "out")],
 }
 
 

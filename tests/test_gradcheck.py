@@ -44,7 +44,29 @@ class TestHarness:
         assert result.samples == 17
 
 
+# Every row of ``all`` in table order with its sample count for one seed
+# (``wingraph gradcheck all`` sums five seeds, so it prints five times
+# these).  A reordered or dropped row moves the seed of every later row; a
+# changed leaf shape changes the count.
+ALL_ROWS = [
+    ("matmul", 108), ("conv2d_k1", 112), ("conv2d_k3", 108), ("conv2d_k7", 113),
+    ("softmax_rows", 100), ("gelu", 108), ("gelu_erf", 108), ("sigmoid", 108),
+    ("hadamard", 120), ("add", 120), ("scalar_mul", 108), ("sum_of_sigmoid", 108),
+    ("cross_entropy", 108), ("window_roundtrip", 108), ("matmul_stacked", 150),
+    ("matmul_shared", 162), ("softmax_rows_stacked", 108),
+    ("relation_cosine", 48), ("relation_softmax", 48), ("node_update", 48),
+    ("graph_conv", 112), ("run_graph_L2", 102), ("run_graph_cosine", 66),
+    ("run_graph_stacked", 162), ("run_graph_stacked_cosine", 126),
+    ("window_attention", 78), ("global_relation", 76), ("local_relation", 50),
+    ("gt_gr_then_lr", 96), ("gt_lr_then_gr", 96), ("gt_parallel", 96),
+    ("boundary_attention", 76),
+]
+
+
 class TestScopes:
+    def test_all_scope_rows_are_pinned(self):
+        assert [(r.op, r.samples) for r in run_scope("all", 0)] == ALL_ROWS
+
     def test_all_scopes_pass(self):
         for scope in SCOPES:
             for result in run_scope(scope, seed=123):

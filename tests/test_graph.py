@@ -238,7 +238,7 @@ class TestGraphConv:
 
 class TestRunGraph:
     def _layers(self, rng, dims):
-        return [GraphLayer(Parameter(rng.uniform(-1, 1, (d, d)), f"w{i}"), i)
+        return [GraphLayer(Parameter(rng.uniform(-1, 1, (d, d)), f"w{i}"))
                 for i, d in enumerate(dims)]
 
     def test_depth_one_equals_manual_round(self):
@@ -271,8 +271,8 @@ class TestRunGraph:
         # with W = I and no pruning, two rounds give R(R(X)X) @ (R(X)X)
         rng = np.random.default_rng(19)
         nodes = rng.normal(size=(4, 3))
-        layers = [GraphLayer(Parameter(np.eye(3), "w0"), 0),
-                  GraphLayer(Parameter(np.eye(3), "w1"), 1)]
+        layers = [GraphLayer(Parameter(np.eye(3), "w0")),
+                  GraphLayer(Parameter(np.eye(3), "w1"))]
         cfg = GraphConfig(theta_coefficient=0.0)  # theta = 0 < every softmax entry
         out = run_graph(Tensor(nodes), layers, cfg).data
 

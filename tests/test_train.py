@@ -55,6 +55,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(build_model(TOY), [], steps=1, lr=0.1)
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf])
+    def test_lr_outside_open_positive_range_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            train(build_model(TOY), toy_dataset(), steps=1, lr=lr)
+
     def test_report_carries_param_count(self):
         model = build_model(TOY)
         assert train(model, toy_dataset(), 1, 0.1).param_count == model.param_count()
