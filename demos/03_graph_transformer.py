@@ -9,8 +9,7 @@ import numpy as np
 
 from wingraph.relation import (
     FusionType,
-    GlobalRelationParams,
-    LocalRelationParams,
+    RelationParams,
     graph_transformer_block,
     gt_param_count,
 )
@@ -22,8 +21,8 @@ c, h, w = 8, 8, 8
 grid = WindowGrid(c, h, w, 2, 2)
 x = Tensor(rng.normal(size=(c, h, w)))
 
-gr = GlobalRelationParams.create(c, grid, r_gr=4, depth=1, rng=rng, prefix="gr")
-lr = LocalRelationParams.create(c, r_lr=4, depth=1, rng=rng, prefix="lr")
+gr = RelationParams.create(c, ratio=4, pixels=grid.h_w * grid.w_w, depth=1, rng=rng, prefix="gr")
+lr = RelationParams.create(c, ratio=4, pixels=1, depth=1, rng=rng, prefix="lr")
 
 # Freshly created blocks are exact identities: the channel-restoring convs
 # start at zero, so a pretrained backbone is undisturbed at insertion.
@@ -42,5 +41,5 @@ for fusion in FusionType:
 
 count = sum(p.data.size for p in gr.named_parameters() + lr.named_parameters())
 print(f"\nblock parameters: {count} (closed form {gt_param_count(c, grid, 4, 4)})")
-d_gr = GlobalRelationParams.node_dim(c, grid, 4)
+d_gr = gr.graph[0].weight.shape[0]
 print(f"global branch node dim D = (C/r) * window pixels = {d_gr}")

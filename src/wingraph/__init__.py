@@ -29,8 +29,7 @@ from .metrics import (
 from .model import ConfigError, Segmenter, SegmenterConfig, build_model, model_param_count
 from .relation import (
     FusionType,
-    GlobalRelationParams,
-    LocalRelationParams,
+    RelationParams,
     global_relation,
     graph_transformer_block,
     gt_param_count,

@@ -26,7 +26,6 @@ class BAParams:
     squeeze: Parameter
     local: Parameter
     unsqueeze: Parameter
-    r_ba: int
 
     def __post_init__(self):
         if self.local.shape[2] != LOCAL_KERNEL or self.local.shape[3] != LOCAL_KERNEL:
@@ -42,7 +41,7 @@ class BAParams:
         local = Parameter(rng.normal(0.0, (LOCAL_KERNEL ** 2 * c_sq) ** -0.5,
                                      (c_sq, c_sq, LOCAL_KERNEL, LOCAL_KERNEL)), f"{prefix}.local")
         unsqueeze = Parameter(np.zeros((c, c_sq, 1, 1)), f"{prefix}.unsqueeze")
-        return cls(squeeze, local, unsqueeze, r_ba)
+        return cls(squeeze, local, unsqueeze)
 
     def named_parameters(self) -> list[Parameter]:
         return [self.squeeze, self.local, self.unsqueeze]
@@ -57,9 +56,6 @@ def ba_coefficients(y: Tensor, params: BAParams) -> Tensor:
     """
     if y.ndim != 3:
         raise ValueError(f"ba_coefficients: need [C,H,W] features, got {list(y.shape)}")
-    if y.shape[0] % params.r_ba != 0:
-        raise ValueError(f"boundary attention: compression ratio {params.r_ba} does not divide "
-                         f"{y.shape[0]} channels")
     h = conv2d(y, params.squeeze)
     h = conv2d(h, params.local)
     h = gelu(h)

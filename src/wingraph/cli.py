@@ -240,8 +240,9 @@ def cmd_bench(args) -> int:
     ks = _parse_number_list(args.K, int)
     ds = _parse_number_list(args.D, int)
     cs = _parse_number_list(args.c, float)
-    if not ks or not ds or not cs or min(ks + ds) < 1 or args.repeats < 1:
-        raise ConfigError(f"bench needs non-empty K, D and c lists and K, D, repeats >= 1; "
+    if not ks or not ds or not cs or min(ks + ds) < 1 or args.repeats < 1 \
+            or not all(map(math.isfinite, cs)):
+        raise ConfigError(f"bench needs non-empty K, D and c lists, K, D, repeats >= 1 and finite c; "
                           f"got K={ks} D={ds} c={cs} repeats={args.repeats}")
     rows = run_benchmark(ks, ds, cs, repeats=args.repeats, seed=args.seed)
     _emit_csv(format_csv(rows), args.out, "bench.csv")

@@ -40,8 +40,7 @@ from .graph import (
 from .model import WindowAttention
 from .relation import (
     FusionType,
-    GlobalRelationParams,
-    LocalRelationParams,
+    RelationParams,
     global_relation,
     graph_transformer_block,
     local_relation,
@@ -179,8 +178,8 @@ def _relation_check(forward, *branches):
     """
     def build(rng):
         grid = WindowGrid(4, 4, 4, 2, 2)
-        params = {"gr": GlobalRelationParams.create(4, grid, 2, 1, rng, "gr"),
-                  "lr": LocalRelationParams.create(4, 2, 1, rng, "lr")}
+        params = {"gr": RelationParams.create(4, 2, grid.h_w * grid.w_w, 1, rng, "gr"),
+                  "lr": RelationParams.create(4, 2, 1, 1, rng, "lr")}
         # Zero-initialised unsqueeze weights would zero these gradients too;
         # randomise them so the check exercises the full path.
         for branch in params.values():

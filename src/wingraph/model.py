@@ -20,8 +20,7 @@ from .data import DATASET_KINDS
 from .graph import GraphConfig, _VARIANTS
 from .relation import (
     FusionType,
-    GlobalRelationParams,
-    LocalRelationParams,
+    RelationParams,
     graph_transformer_block,
     gt_param_count,
 )
@@ -148,8 +147,8 @@ class WindowAttention:
 class _Stage:
     grid: WindowGrid
     attention: list[WindowAttention]
-    gr: GlobalRelationParams | None = None
-    lr: LocalRelationParams | None = None
+    gr: RelationParams | None = None
+    lr: RelationParams | None = None
 
 
 class Segmenter:
@@ -168,10 +167,10 @@ class Segmenter:
             attn = [WindowAttention(c, rng, f"stage{s}.attn{b}") for b in range(blocks)]
             stage = _Stage(grid, attn)
             if config.enable_gt:
-                stage.gr = GlobalRelationParams.create(c, grid, config.r_gr, config.graph_depth,
-                                                       rng, f"stage{s}.gt.gr")
-                stage.lr = LocalRelationParams.create(c, config.r_lr, config.graph_depth,
-                                                      rng, f"stage{s}.gt.lr")
+                stage.gr = RelationParams.create(c, config.r_gr, grid.h_w * grid.w_w,
+                                                 config.graph_depth, rng, f"stage{s}.gt.gr")
+                stage.lr = RelationParams.create(c, config.r_lr, 1, config.graph_depth,
+                                                 rng, f"stage{s}.gt.lr")
             self.stages.append(stage)
         self.ba = BAParams.create(c, config.r_ba, rng, "ba") if config.enable_ba else None
         self.head = Parameter(rng.normal(0.0, c ** -0.5, (config.num_classes, c, 1, 1)), "head")

@@ -32,13 +32,8 @@ class TrainingReport:
 
 
 def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int,
-          lr: float, freeze_ba_until: int = 0) -> TrainingReport:
-    """Run ``steps`` SGD updates and report the recorded curve.
-
-    ``freeze_ba_until`` holds the boundary-attention parameters fixed for
-    the first given number of steps, a small stand-in for training the
-    backbone first and the boundary gate afterwards.
-    """
+          lr: float) -> TrainingReport:
+    """Run ``steps`` SGD updates and report the recorded curve."""
     if not dataset:
         raise ValueError("train: empty dataset")
     if not 0 < lr < math.inf:
@@ -53,9 +48,7 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
             raise TrainingDiverged(f"non-finite loss {value} at step {step} (lr={lr})")
         report.losses.append(value)
         backward(loss)
-        for name, p in model.parameters().items():
-            if step < freeze_ba_until and name.startswith("ba."):
-                continue
+        for p in model.parameters().values():
             if p.grad is not None:
                 p.data -= lr * p.grad
     report.steps = steps

@@ -20,7 +20,7 @@ from wingraph.gradcheck import TOLERANCE, run_gradcheck
 from wingraph.graph import make_theta, node_update, node_update_sparse, relation_cosine, relation_softmax, sparsify
 from wingraph.metrics import dataset_boundary_band_accuracy, evaluate_miou, miou
 from wingraph.model import SegmenterConfig, build_model, baseline_param_count, model_param_count
-from wingraph.relation import FusionType, GlobalRelationParams, LocalRelationParams, graph_transformer_block
+from wingraph.relation import FusionType, RelationParams, graph_transformer_block
 from wingraph.tensor import Tensor
 from wingraph.train import train
 from wingraph.windows import WindowGrid
@@ -121,8 +121,8 @@ def test_criterion_04_zero_init_identity():
     c, h, w = 8, 8, 8
     grid = WindowGrid(c, h, w, 2, 2)
     x = Tensor(rng.uniform(-1, 1, (c, h, w)))
-    gr = GlobalRelationParams.create(c, grid, 4, 1, rng, "gr")
-    lr = LocalRelationParams.create(c, 4, 1, rng, "lr")
+    gr = RelationParams.create(c, 4, grid.h_w * grid.w_w, 1, rng, "gr")
+    lr = RelationParams.create(c, 4, 1, 1, rng, "lr")
     for fusion in FusionType:
         out = graph_transformer_block(x, grid, gr, lr, fusion)
         assert np.array_equal(out.data, x.data), fusion

@@ -71,7 +71,7 @@ class TestCoefficients:
         good = BAParams.create(2, 2, rng, "ba")
         with pytest.raises(ValueError, match="local kernel"):
             BAParams(good.squeeze, Parameter(np.zeros((1, 1, 5, 5)), "ba.bad"),
-                     good.unsqueeze, 2)
+                     good.unsqueeze)
 
 
 class TestApply:

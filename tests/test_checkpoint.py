@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wingraph.checkpoint import (
     MAGIC,
@@ -13,6 +15,7 @@ from wingraph.checkpoint import (
     read_manifest,
     save_checkpoint,
 )
+from wingraph.cli import main
 from wingraph.data import synth_dataset
 from wingraph.metrics import evaluate_miou
 from wingraph.model import SegmenterConfig, build_model
@@ -145,3 +148,47 @@ class TestCorruption:
         ref = build_model(TOY)
         for name, p in fresh.parameters().items():
             assert np.array_equal(p.data, ref.parameters()[name].data)
+
+
+# The same architecture as TOY, spelled as `wingraph eval` overrides.
+TOY_OVERRIDES = [arg for kv in ("C=4", "H=4", "W=4", "stages=1x2x2", "num_classes=2", "r_gr=2",
+                                "r_lr=2", "r_ba=2", "dataset_size=2") for arg in ("--override", kv)]
+FUZZ_SPAN = 600
+
+edits = st.one_of(
+    st.tuples(st.just("mutate"), st.integers(0, FUZZ_SPAN - 1), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, FUZZ_SPAN - 1)),
+    st.tuples(st.just("extend"), st.integers(0, FUZZ_SPAN - 1), st.binary(min_size=1, max_size=16)),
+)
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    model = build_model(TOY)
+    train(model, synth_dataset("stripes", 2, 4, 4, 2, 0), steps=5, lr=0.1)
+    path = tmp_path_factory.mktemp("fuzz") / "model.wgts"
+    save_checkpoint(model, path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit=edits)
+@example(edit=("mutate", 0, MAGIC[0]))  # the file unchanged
+def test_fuzzed_header_loads_or_is_rejected(toy_checkpoint, edit):
+    path, raw = toy_checkpoint
+    assert len(raw) > FUZZ_SPAN
+    kind, pos = edit[0], edit[1]
+    if kind == "mutate":
+        fuzzed = raw[:pos] + bytes([edit[2]]) + raw[pos + 1:]
+    elif kind == "truncate":
+        fuzzed = raw[:pos]
+    else:
+        fuzzed = raw[:pos] + edit[2] + raw[pos:]
+    bad = path.with_name("fuzzed.wgts")
+    bad.write_bytes(fuzzed)
+    try:
+        load_checkpoint(bad, TOY)
+        expected = 0
+    except CheckpointError:
+        expected = 2
+    assert main(["eval", "--checkpoint", str(bad), *TOY_OVERRIDES]) == expected

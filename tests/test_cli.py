@@ -273,6 +273,8 @@ UNREADABLE_INPUTS = {
     "gradcheck_negative_seed": lambda tmp_path: ["gradcheck", "gr", "--seed", "-1"],
     "bench_negative_seed": lambda tmp_path: [
         "bench", "--seed", "-1", "--K", "2", "--D", "2", "--c", "1", "--repeats", "1"],
+    "bench_nan_c": lambda tmp_path: ["bench", "--K", "2", "--D", "2", "--c", "nan", "--repeats", "1"],
+    "bench_inf_c": lambda tmp_path: ["bench", "--K", "2", "--D", "2", "--c", "inf", "--repeats", "1"],
     "nan_lr": lambda tmp_path: ["train", "--override", "lr=nan", "--out", str(tmp_path / "out")],
     "inf_lr": lambda tmp_path: ["train", "--override", "lr=inf", "--out", str(tmp_path / "out")],
 }

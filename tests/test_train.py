@@ -1,7 +1,5 @@
 """Training loop: determinism, overfitting, divergence handling."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -63,22 +61,6 @@ class TestTrain:
     def test_report_carries_param_count(self):
         model = build_model(TOY)
         assert train(model, toy_dataset(), 1, 0.1).param_count == model.param_count()
-
-    def test_freeze_ba_phase(self):
-        config = dataclasses.replace(TOY, enable_ba=True)
-        model = build_model(config)
-        ba_before = {n: p.data.copy() for n, p in model.parameters().items()
-                     if n.startswith("ba.")}
-        assert ba_before
-        train(model, toy_dataset(), steps=5, lr=0.1, freeze_ba_until=5)
-        for name, before in ba_before.items():
-            assert np.array_equal(model.parameters()[name].data, before), name
-        # unfreezing afterwards lets them move (unsqueeze stays zero-gradient
-        # only if its input were zero, which it is not after warm-up)
-        train(model, toy_dataset(), steps=5, lr=0.1)
-        moved = any(not np.array_equal(model.parameters()[n].data, ba_before[n])
-                    for n in ba_before)
-        assert moved
 
 
 class TestOverfit:

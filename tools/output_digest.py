@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Print one sha256 digest per model configuration, to show a change keeps every float.
+
+Each digest covers the logits, the loss, every parameter gradient and the
+``predict`` output of three plain-SGD steps. There are 36 configurations:
+toy (8x8, C=16, 2x2 windows) and medium (32x32, C=32, 4x4 windows) scale,
+softmax and cosine relations, the three fusions, and the graph block with
+the boundary gate, the graph block alone and the gate alone. All use graph
+depth 2 and random unsqueeze weights, because the zero-initialised ones
+would hide the graph path from the logits. The weights and the learning
+rate are small because the medium cosine models reach NaN within three
+steps at larger ones, and a digest over NaN would hide every later
+difference. Only the public ``wingraph`` API is used, so the script runs
+unchanged against two revisions of the package:
+
+    PYTHONPATH=old/src python3 tools/output_digest.py > old.txt
+    PYTHONPATH=new/src python3 tools/output_digest.py > new.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+
+import numpy as np
+
+from wingraph import (FusionType, Segmenter, SegmenterConfig, Tensor, backward, build_model,
+                      cross_entropy_logits, synth_dataset)
+
+SCALES = {"toy": dict(C=16, H=8, W=8, stages=((2, 2, 2), (2, 2, 2))),
+          "medium": dict(C=32, H=32, W=32, stages=((2, 4, 4), (2, 4, 4)))}
+COMPONENTS = {"gt_ba": (True, True), "gt": (True, False), "ba": (False, True)}
+STEPS = 3
+LR = 1e-6
+UNSQUEEZE_STD = 0.01
+
+
+def configurations() -> list[tuple[str, SegmenterConfig]]:
+    """The named configurations, in output order."""
+    out = []
+    for scale, variant, fusion, parts in itertools.product(SCALES, ("softmax", "cosine"),
+                                                           FusionType, COMPONENTS):
+        enable_gt, enable_ba = COMPONENTS[parts]
+        config = SegmenterConfig(**SCALES[scale], relation_variant=variant, fusion=fusion,
+                                 enable_gt=enable_gt, enable_ba=enable_ba, graph_depth=2,
+                                 r_gr=4, r_lr=4, r_ba=4, dataset="blobs", lr=LR)
+        out.append((f"{scale}-{variant}-{fusion.value}-{parts}", config))
+    return out
+
+
+def prepare(config: SegmenterConfig) -> tuple[Segmenter, list[tuple[Tensor, np.ndarray]]]:
+    """Build the model with random unsqueeze weights, and its training data."""
+    model = build_model(config)
+    rng = np.random.default_rng(config.seed + 1)
+    for name, p in model.parameters().items():
+        if name.endswith(".unsqueeze"):
+            p.data = rng.normal(0.0, UNSQUEEZE_STD, p.shape)
+    data = synth_dataset(config.dataset, STEPS, config.H, config.W, config.num_classes, config.seed)
+    return model, data
+
+
+def digest(model: Segmenter, data: list[tuple[Tensor, np.ndarray]]) -> str:
+    """Run one SGD step per sample, as ``train`` does, hashing what each step computes."""
+    h = hashlib.sha256()
+    for image, labels in data:
+        model.zero_grad()
+        logits = model.forward(image)
+        loss = cross_entropy_logits(logits, labels)
+        backward(loss)
+        h.update(logits.data.tobytes())
+        h.update(loss.data.tobytes())
+        for name, p in model.parameters().items():
+            h.update(name.encode())
+            if p.grad is not None:
+                h.update(p.grad.tobytes())
+                p.data -= LR * p.grad
+        h.update(model.predict(image).tobytes())
+    return h.hexdigest()
+
+
+def main() -> None:
+    for name, config in configurations():
+        print(name, digest(*prepare(config)))
+
+
+if __name__ == "__main__":
+    main()
