@@ -41,5 +41,5 @@ for fusion in FusionType:
 
 count = sum(p.data.size for p in gr.named_parameters() + lr.named_parameters())
 print(f"\nblock parameters: {count} (closed form {gt_param_count(c, grid, 4, 4)})")
-d_gr = gr.graph[0].weight.shape[0]
+d_gr = gr.graph[0].shape[0]
 print(f"global branch node dim D = (C/r) * window pixels = {d_gr}")

@@ -6,9 +6,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import synth_dataset
 from .graph import (
     GraphConfig,
-    GraphLayer,
     RelationMatrix,
-    graph_conv,
     make_theta,
     node_update,
     node_update_sparse,

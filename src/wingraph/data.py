@@ -48,12 +48,11 @@ def class_palette(num_classes: int) -> np.ndarray:
     ], axis=1)
 
 
-def render_image(labels: np.ndarray, num_classes: int, rng: np.random.Generator,
-                 noise_sigma: float = NOISE_SIGMA) -> np.ndarray:
+def render_image(labels: np.ndarray, num_classes: int, rng: np.random.Generator) -> np.ndarray:
     """Palette colour per pixel plus Gaussian noise; [3, H, W] float64."""
     palette = class_palette(num_classes)
     img = palette[labels].transpose(2, 0, 1)
-    return img + rng.normal(0.0, noise_sigma, img.shape)
+    return img + rng.normal(0.0, NOISE_SIGMA, img.shape)
 
 
 def stripe_labels(h: int, w: int, num_classes: int, phase: int = 0) -> np.ndarray:
@@ -108,7 +107,7 @@ def validate_label_map(labels: np.ndarray, num_classes: int) -> None:
 
 
 def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
-                  seed: int, noise_sigma: float = NOISE_SIGMA) -> list[tuple[Tensor, np.ndarray]]:
+                  seed: int) -> list[tuple[Tensor, np.ndarray]]:
     """Generate ``n`` (image, label map) pairs, deterministic in ``seed``."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
@@ -124,7 +123,7 @@ def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
         else:
             labels = checker_labels(h, w, num_classes)
         validate_label_map(labels, num_classes)
-        samples.append((Tensor(render_image(labels, num_classes, rng, noise_sigma)), labels))
+        samples.append((Tensor(render_image(labels, num_classes, rng)), labels))
     return samples
 
 

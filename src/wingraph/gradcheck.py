@@ -28,8 +28,6 @@ from . import tensor as T
 from .boundary import BAParams, ba_apply
 from .graph import (
     GraphConfig,
-    GraphLayer,
-    graph_conv,
     make_theta,
     node_update,
     relation_cosine,
@@ -154,9 +152,8 @@ def _run_graph_check(variant, depth, stack=()):
     def check(name, rng):
         nodes = _leaf(rng, stack + (5, 6))
         weights = [T.Parameter(rng.uniform(-0.7, 0.7, (6, 6)), f"w{l}") for l in range(depth)]
-        layers = [GraphLayer(w) for w in weights]
         cfg = GraphConfig(variant=variant, theta_coefficient=0.25)
-        return _projected_check(name, rng, lambda: run_graph(nodes, layers, cfg), [nodes] + weights)
+        return _projected_check(name, rng, lambda: run_graph(nodes, weights, cfg), [nodes] + weights)
     return check
 
 
@@ -221,7 +218,7 @@ SCOPES: dict[str, list] = {
         ("relation_cosine", _op_check(lambda n: relation_cosine(n).values, (6, 8))),
         ("relation_softmax", _op_check(lambda n: relation_softmax(n).values, (6, 8))),
         ("node_update", _op_check(_pruned_update, (6, 8))),
-        ("graph_conv", _op_check(lambda n, w: graph_conv(n, GraphLayer(w)), (6, 8), (8, 8))),
+        ("graph_conv", _op_check(lambda n, w: T.matmul(n, w), (6, 8), (8, 8))),
         ("run_graph_L2", _run_graph_check("softmax", 2)),
         ("run_graph_cosine", _run_graph_check("cosine", 1)),
         ("run_graph_stacked", _run_graph_check("softmax", 2, stack=(3,))),
@@ -229,12 +226,12 @@ SCOPES: dict[str, list] = {
     ],
     "attention": [("window_attention", _module_check(_window_attention))],
     "gr": [("global_relation", _relation_check(
-        lambda x, grid, gr, lr: global_relation(x, grid, gr, GraphConfig()), "gr"))],
+        lambda x, grid, gr, lr: global_relation(x, grid, gr), "gr"))],
     "lr": [("local_relation", _relation_check(
-        lambda x, grid, gr, lr: local_relation(x, grid, lr, GraphConfig()), "lr"))],
+        lambda x, grid, gr, lr: local_relation(x, grid, lr), "lr"))],
     "gt": [(f"gt_{fusion.value}", _relation_check(
-        lambda x, grid, gr, lr, fusion=fusion: graph_transformer_block(
-            x, grid, gr, lr, fusion, GraphConfig()), "gr", "lr")) for fusion in FusionType],
+        lambda x, grid, gr, lr, fusion=fusion: graph_transformer_block(x, grid, gr, lr, fusion),
+        "gr", "lr")) for fusion in FusionType],
     "ba": [("boundary_attention", _module_check(_boundary_attention, (4, 5, 5)))],
 }
 

@@ -27,7 +27,7 @@ accumulation loops with a BLAS matmul.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,39 +57,19 @@ class RelationMatrix:
     """
 
     values: Tensor
-    variant: str
     mask: np.ndarray | None = None
     theta: float | np.ndarray | None = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"RelationMatrix: unknown variant {self.variant!r}")
         shape = self.values.shape
         if self.values.ndim not in (2, 3) or shape[-1] != shape[-2]:
             raise ValueError(f"RelationMatrix: square matrix or stack of them required, got {list(shape)}")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.values.shape[-1]
 
     def kept_edges(self) -> int:
         """Kept entries, summed over every graph of a stack."""
         if self.mask is None:
             return self.values.data.size
         return int(self.mask.sum())
-
-
-@dataclass
-class GraphLayer:
-    """One propagation round's learnable weighting matrix."""
-
-    weight: Parameter
-
-    def __post_init__(self):
-        if self.weight.ndim != 2:
-            raise ValueError(f"GraphLayer: rank-2 weight required, got {list(self.weight.shape)}")
-        if not np.isfinite(self.weight.data).all():
-            raise ValueError("GraphLayer: weight contains non-finite values")
 
 
 @dataclass
@@ -141,14 +121,14 @@ def relation_cosine(nodes: Tensor) -> RelationMatrix:
         dn[~nonzero] = 0.0
         return (dn,)
 
-    return RelationMatrix(_op(values, (nodes,), _bw), VARIANT_COSINE)
+    return RelationMatrix(_op(values, (nodes,), _bw))
 
 
 def relation_softmax(nodes: Tensor) -> RelationMatrix:
     """Row-softmax of pairwise dot products; always row-stochastic."""
     _check_nodes(nodes, "relation_softmax")
     values = softmax_rows(matmul(nodes, transpose(nodes)))
-    return RelationMatrix(values, VARIANT_SOFTMAX)
+    return RelationMatrix(values)
 
 
 def relation(nodes: Tensor, variant: str) -> RelationMatrix:
@@ -183,7 +163,7 @@ def sparsify(rel: RelationMatrix, theta: float | np.ndarray) -> RelationMatrix:
     """
     theta = float(theta) if rel.values.ndim == 2 else np.asarray(theta, dtype=np.float64)
     mask = rel.values.data > np.expand_dims(theta, (-2, -1))
-    return RelationMatrix(apply_mask(rel.values, mask), rel.variant, mask, theta)
+    return RelationMatrix(apply_mask(rel.values, mask), mask, theta)
 
 
 def node_update_dense_data(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -250,29 +230,22 @@ def node_update_sparse(rel: RelationMatrix, nodes: np.ndarray) -> np.ndarray:
     return node_update_sparse_data(rel.values.data, rel.mask, nodes)
 
 
-def graph_conv(nodes: Tensor, layer: GraphLayer) -> Tensor:
-    """Learnable node mixing: nodes @ layer.weight."""
-    if nodes.shape[-1] != layer.weight.shape[0]:
-        raise ValueError(
-            f"graph_conv: nodes {list(nodes.shape)} do not match weight {list(layer.weight.shape)}")
-    return matmul(nodes, layer.weight)
-
-
-def run_graph(nodes: Tensor, layers: list[GraphLayer] | tuple[GraphLayer, ...],
+def run_graph(nodes: Tensor, weights: list[Parameter] | tuple[Parameter, ...],
               config: GraphConfig | None = None) -> Tensor:
     """Apply L rounds of relate -> prune -> propagate -> mix.
 
     The relation matrix and its threshold are recomputed from the current
     node features at every round, for each graph of a stack separately.
+    Each round ends by right-multiplying with its own [D, D] weight.
     """
-    if not layers:
+    if not weights:
         raise ValueError("run_graph: at least one layer required")
     cfg = config or GraphConfig()
     x = nodes
-    for layer in layers:
+    for w in weights:
         rel = relation(x, cfg.variant)
         theta = make_theta(rel.values, cfg.theta_coefficient)
         rel = sparsify(rel, theta)
         x = node_update(rel, x)
-        x = graph_conv(x, layer)
+        x = matmul(x, w)
     return x

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphConfig, GraphLayer, run_graph
+from .graph import GraphConfig, run_graph
 from .tensor import Parameter, Tensor, add, conv2d
 from .windows import WindowGrid, merge_nodes, merge_tokens, window_nodes, window_tokens
 
@@ -49,7 +49,7 @@ class RelationParams:
 
     squeeze: Parameter
     unsqueeze: Parameter
-    graph: tuple[GraphLayer, ...]
+    graph: tuple[Parameter, ...]
 
     @classmethod
     def create(cls, c: int, ratio: int, pixels: int, depth: int,
@@ -62,16 +62,16 @@ class RelationParams:
         squeeze = Parameter(rng.normal(0.0, c ** -0.5, (c_sq, c, 1, 1)), f"{prefix}.squeeze")
         unsqueeze = Parameter(np.zeros((c, c_sq, 1, 1)), f"{prefix}.unsqueeze")
         dim = c_sq * pixels
-        graph = tuple(GraphLayer(Parameter(rng.normal(0.0, dim ** -0.5, (dim, dim)), f"{prefix}.graph{l}"))
+        graph = tuple(Parameter(rng.normal(0.0, dim ** -0.5, (dim, dim)), f"{prefix}.graph{l}")
                       for l in range(depth))
         return cls(squeeze, unsqueeze, graph)
 
     def named_parameters(self) -> list[Parameter]:
-        return [self.squeeze, self.unsqueeze] + [l.weight for l in self.graph]
+        return [self.squeeze, self.unsqueeze, *self.graph]
 
 
 def _correction(x: Tensor, grid: WindowGrid, params: RelationParams,
-                view: tuple[Callable, Callable], cfg: GraphConfig) -> Tensor:
+                view: tuple[Callable, Callable], cfg: GraphConfig | None) -> Tensor:
     to_nodes, from_nodes = view
     sub = WindowGrid(params.squeeze.shape[0], grid.H, grid.W, grid.M, grid.N)
     nodes = run_graph(to_nodes(conv2d(x, params.squeeze), sub), params.graph, cfg)
@@ -81,7 +81,7 @@ def _correction(x: Tensor, grid: WindowGrid, params: RelationParams,
 def global_relation(x: Tensor, grid: WindowGrid, params: RelationParams,
                     cfg: GraphConfig | None = None) -> Tensor:
     """Relate windows globally; returns x plus the learned correction."""
-    return add(x, _correction(x, grid, params, _GLOBAL, cfg or GraphConfig()))
+    return add(x, _correction(x, grid, params, _GLOBAL, cfg))
 
 
 def local_relation(x: Tensor, grid: WindowGrid, params: RelationParams,
@@ -91,7 +91,7 @@ def local_relation(x: Tensor, grid: WindowGrid, params: RelationParams,
     Windows never exchange information here: zeroing one window's input
     cannot change any other window's output.
     """
-    return add(x, _correction(x, grid, params, _LOCAL, cfg or GraphConfig()))
+    return add(x, _correction(x, grid, params, _LOCAL, cfg))
 
 
 def graph_transformer_block(x: Tensor, grid: WindowGrid,
@@ -104,7 +104,6 @@ def graph_transformer_block(x: Tensor, grid: WindowGrid,
     Series fusions chain the residual modules; parallel fusion adds both
     branch corrections onto the shared input.
     """
-    cfg = cfg or GraphConfig()
     if fusion is FusionType.GR_THEN_LR:
         return local_relation(global_relation(x, grid, gr_params, cfg), grid, lr_params, cfg)
     if fusion is FusionType.LR_THEN_GR:

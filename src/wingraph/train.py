@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import evaluate_miou
 from .model import Segmenter
 from .tensor import Tensor, backward, cross_entropy_logits
 
@@ -54,15 +55,6 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
     report.steps = steps
     if report.losses:
         report.final_loss = report.losses[-1]
-    report.final_pixel_accuracy = evaluate_pixel_accuracy(model, dataset)
+    cm = evaluate_miou(model, dataset).confusion
+    report.final_pixel_accuracy = float(np.trace(cm) / cm.sum())
     return report
-
-
-def evaluate_pixel_accuracy(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]]) -> float:
-    correct = 0
-    total = 0
-    for image, labels in dataset:
-        pred = model.predict(image)
-        correct += int((pred == labels).sum())
-        total += labels.size
-    return correct / total if total else math.nan

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from wingraph.graph import (
     _VARIANTS,
     GraphConfig,
-    GraphLayer,
     RelationMatrix,
     make_theta,
     node_update,
@@ -64,7 +63,7 @@ def test_run_graph_on_stack_equals_per_slice_calls(stacked, variant, coefficient
     nodes, seed = stacked
     rng = np.random.default_rng(seed + 1)
     d = nodes.shape[-1]
-    layers = [GraphLayer(Parameter(rng.uniform(-1, 1, (d, d)), f"w{l}")) for l in range(depth)]
+    layers = [Parameter(rng.uniform(-1, 1, (d, d)), f"w{l}") for l in range(depth)]
     cfg = GraphConfig(variant=variant, theta_coefficient=coefficient)
     whole = run_graph(Tensor(nodes), layers, cfg).data
     per_slice = np.stack([run_graph(Tensor(x), layers, cfg).data for x in nodes])
@@ -189,6 +188,8 @@ class TestStackedShapes:
             assert np.array_equal(shared[i], matmul(Tensor(a[i]), Tensor(w)).data)
 
     def test_matmul_rejects_mismatched_stacks_and_ranks(self):
+        with pytest.raises(ValueError, match="inner dimensions disagree"):
+            matmul(Tensor(np.zeros((4, 3))), Parameter(np.eye(5), "w"))
         with pytest.raises(ValueError, match="stack sizes disagree"):
             matmul(Tensor(np.zeros((3, 2, 2))), Tensor(np.zeros((2, 2, 2))))
         with pytest.raises(ValueError, match=r"\[2, 2\].*\[3, 2, 2\]"):
@@ -211,4 +212,4 @@ class TestStackedShapes:
 
     def test_relation_matrix_needs_square_slices(self):
         with pytest.raises(ValueError, match="square"):
-            RelationMatrix(Tensor(np.zeros((2, 3, 4))), "softmax")
+            RelationMatrix(Tensor(np.zeros((2, 3, 4))))

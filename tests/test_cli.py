@@ -170,6 +170,24 @@ class TestTrainCommand:
         report = json.loads((out / "report.json").read_text(), parse_constant=reject)
         assert report["steps"] == 0 and report["final_loss"] is None
 
+    def test_eval_set_without_class_boundary_reports_null_band_accuracy(self, tmp_path, capsys):
+        # One-row stripes are one class per image, so no label map has a boundary.
+        flat = ["--override", "H=1", "--override", "stages=1x1x1", "--override", "steps=1"]
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)] + flat) == 0
+        for name in ("checkpoint.wgts", "loss_curve.csv", "metrics.csv", "report.json"):
+            assert (out / name).exists(), name
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["eval_boundary_band_accuracy"] is None
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.wgts")] + flat) == 0
+        assert "boundary band accuracy nan" in capsys.readouterr().out
+        assert main(["ablate", "fusion"] + flat) == 0
+        assert all(row.endswith(",nan") for row in capsys.readouterr().out.splitlines()[1:])
+
     def test_violated_constraint_exits_two_naming_it(self, capsys):
         assert main(["train"] + FAST + ["--override", "r_gr=3"]) == 2
         assert "r_gr=3 does not divide" in capsys.readouterr().err

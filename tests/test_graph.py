@@ -7,8 +7,6 @@ import pytest
 
 from wingraph.graph import (
     GraphConfig,
-    GraphLayer,
-    graph_conv,
     make_theta,
     node_update,
     node_update_dense_data,
@@ -203,22 +201,11 @@ class TestGraphConv:
     def test_identity_weights(self):
         rng = np.random.default_rng(14)
         nodes = Tensor(rng.normal(size=(4, 3)))
-        layer = GraphLayer(Parameter(np.eye(3), "w"))
-        assert np.array_equal(graph_conv(nodes, layer).data, nodes.data)
+        assert np.array_equal(matmul(nodes, Parameter(np.eye(3), "w")).data, nodes.data)
 
     def test_zero_weights(self):
         nodes = Tensor(np.random.default_rng(15).normal(size=(4, 3)))
-        layer = GraphLayer(Parameter(np.zeros((3, 3)), "w"))
-        assert np.array_equal(graph_conv(nodes, layer).data, np.zeros((4, 3)))
-
-    def test_dimension_mismatch(self):
-        layer = GraphLayer(Parameter(np.eye(5), "w"))
-        with pytest.raises(ValueError, match="do not match"):
-            graph_conv(Tensor(np.zeros((4, 3))), layer)
-
-    def test_non_finite_weight_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            GraphLayer(Parameter(np.array([[np.inf]]), "w"))
+        assert np.array_equal(matmul(nodes, Parameter(np.zeros((3, 3)), "w")).data, np.zeros((4, 3)))
 
     def test_full_pipeline_matches_hand_composition(self):
         rng = np.random.default_rng(16)
@@ -228,7 +215,7 @@ class TestGraphConv:
         rel = relation_softmax(t)
         theta = make_theta(rel.values)
         pruned = sparsify(rel, theta)
-        out = graph_conv(node_update(pruned, t), GraphLayer(Parameter(w, "w"))).data
+        out = matmul(node_update(pruned, t), Parameter(w, "w")).data
 
         vals = softmax_rows(matmul(t, transpose(t))).data
         masked = np.where(vals > theta, vals, 0.0)
@@ -238,8 +225,7 @@ class TestGraphConv:
 
 class TestRunGraph:
     def _layers(self, rng, dims):
-        return [GraphLayer(Parameter(rng.uniform(-1, 1, (d, d)), f"w{i}"))
-                for i, d in enumerate(dims)]
+        return [Parameter(rng.uniform(-1, 1, (d, d)), f"w{i}") for i, d in enumerate(dims)]
 
     def test_depth_one_equals_manual_round(self):
         rng = np.random.default_rng(17)
@@ -250,7 +236,7 @@ class TestRunGraph:
 
         rel = relation_softmax(nodes)
         pruned = sparsify(rel, make_theta(rel.values, cfg.theta_coefficient))
-        manual = graph_conv(node_update(pruned, nodes), layers[0]).data
+        manual = matmul(node_update(pruned, nodes), layers[0]).data
         assert np.array_equal(out, manual)
 
     def test_depth_two_equals_two_chained_rounds(self):
@@ -264,15 +250,14 @@ class TestRunGraph:
         for layer in layers:
             rel = relation_softmax(x)
             pruned = sparsify(rel, make_theta(rel.values, cfg.theta_coefficient))
-            x = graph_conv(node_update(pruned, x), layer)
+            x = matmul(node_update(pruned, x), layer)
         assert np.array_equal(out, x.data)
 
     def test_identity_weights_theta_below_min_closed_form(self):
         # with W = I and no pruning, two rounds give R(R(X)X) @ (R(X)X)
         rng = np.random.default_rng(19)
         nodes = rng.normal(size=(4, 3))
-        layers = [GraphLayer(Parameter(np.eye(3), "w0")),
-                  GraphLayer(Parameter(np.eye(3), "w1"))]
+        layers = [Parameter(np.eye(3), "w0"), Parameter(np.eye(3), "w1")]
         cfg = GraphConfig(theta_coefficient=0.0)  # theta = 0 < every softmax entry
         out = run_graph(Tensor(nodes), layers, cfg).data
 

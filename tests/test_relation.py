@@ -66,7 +66,7 @@ class TestGlobalRelation:
         rel = relation_softmax(nodes)
         rel = sparsify(rel, make_theta(rel.values, cfg.theta_coefficient))
         nodes = node_update(rel, nodes)
-        nodes = Tensor(np.matmul(nodes.data, gr.graph[0].weight.data))
+        nodes = Tensor(np.matmul(nodes.data, gr.graph[0].data))
         restored = merge(unflatten_nodes(nodes, (2, 2, 2)), sub)
         hand = x.data + conv2d(restored, gr.unsqueeze).data
         assert np.array_equal(out.data, hand)

@@ -199,6 +199,27 @@ def test_one_op_regroup_equals_movement_chain(name, c, m, n, h_w, w_w, seed):
     assert runs[0] == runs[1]
 
 
+INVERSE_PAIRS = [("partition", "merge"), ("window_nodes", "merge_nodes"),
+                 ("window_tokens", "merge_tokens")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(INVERSE_PAIRS), c=st.integers(1, 4), m=st.integers(1, 3),
+       n=st.integers(1, 3), h_w=st.integers(1, 3), w_w=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_window_layouts_round_trip_both_ways(pair, c, m, n, h_w, w_w, seed):
+    to_windows, from_windows = (REGROUPS[name][0] for name in pair)
+    map_shape, windows_shape = (REGROUPS[name][2] for name in pair)
+    g = WindowGrid(c, m * h_w, n * w_w, m, n)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=map_shape(g))
+    w = rng.normal(size=windows_shape(g))
+    there_and_back = from_windows(to_windows(Tensor(x), g), g)
+    back_and_there = to_windows(from_windows(Tensor(w), g), g)
+    assert there_and_back.shape == x.shape and there_and_back.data.tobytes() == x.tobytes()
+    assert back_and_there.shape == w.shape and back_and_there.data.tobytes() == w.tobytes()
+
+
 class TestRegroupShapes:
     def test_inverses_reject_wrong_shapes(self):
         g = WindowGrid(2, 4, 4, 2, 2)

@@ -10,8 +10,11 @@ depth 2 and random unsqueeze weights, because the zero-initialised ones
 would hide the graph path from the logits. The weights and the learning
 rate are small because the medium cosine models reach NaN within three
 steps at larger ones, and a digest over NaN would hide every later
-difference. Only the public ``wingraph`` API is used, so the script runs
-unchanged against two revisions of the package:
+difference. A 37th line, ``gradcheck-all-seed0``, hashes the stdout of
+``wingraph gradcheck all --seed 0``, so the same diff covers every
+finite-difference check too. Only the public ``wingraph`` API and its
+command-line entry point are used, so the script runs unchanged against
+two revisions of the package:
 
     PYTHONPATH=old/src python3 tools/output_digest.py > old.txt
     PYTHONPATH=new/src python3 tools/output_digest.py > new.txt
@@ -20,13 +23,16 @@ unchanged against two revisions of the package:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 
 import numpy as np
 
 from wingraph import (FusionType, Segmenter, SegmenterConfig, Tensor, backward, build_model,
                       cross_entropy_logits, synth_dataset)
+from wingraph.cli import main as wingraph_main
 
 SCALES = {"toy": dict(C=16, H=8, W=8, stages=((2, 2, 2), (2, 2, 2))),
           "medium": dict(C=32, H=32, W=32, stages=((2, 4, 4), (2, 4, 4)))}
@@ -79,9 +85,18 @@ def digest(model: Segmenter, data: list[tuple[Tensor, np.ndarray]]) -> str:
     return h.hexdigest()
 
 
+def gradcheck_digest() -> str:
+    """Hash what ``wingraph gradcheck all --seed 0`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        wingraph_main(["gradcheck", "all", "--seed", "0"])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def main() -> None:
     for name, config in configurations():
         print(name, digest(*prepare(config)))
+    print("gradcheck-all-seed0", gradcheck_digest())
 
 
 if __name__ == "__main__":
