@@ -188,8 +188,6 @@ class TestStackedShapes:
             assert np.array_equal(shared[i], matmul(Tensor(a[i]), Tensor(w)).data)
 
     def test_matmul_rejects_mismatched_stacks_and_ranks(self):
-        with pytest.raises(ValueError, match="inner dimensions disagree"):
-            matmul(Tensor(np.zeros((4, 3))), Parameter(np.eye(5), "w"))
         with pytest.raises(ValueError, match="stack sizes disagree"):
             matmul(Tensor(np.zeros((3, 2, 2))), Tensor(np.zeros((2, 2, 2))))
         with pytest.raises(ValueError, match=r"\[2, 2\].*\[3, 2, 2\]"):

@@ -207,6 +207,11 @@ class TestGraphConv:
         nodes = Tensor(np.random.default_rng(15).normal(size=(4, 3)))
         assert np.array_equal(matmul(nodes, Parameter(np.zeros((3, 3)), "w")).data, np.zeros((4, 3)))
 
+    def test_dimension_mismatch(self):
+        # a round's mix weight must be [D, D] for the node width D
+        with pytest.raises(ValueError, match="inner dimensions disagree"):
+            run_graph(Tensor(np.zeros((4, 3))), [Parameter(np.eye(5), "w")])
+
     def test_full_pipeline_matches_hand_composition(self):
         rng = np.random.default_rng(16)
         nodes = rng.uniform(-1, 1, (3, 2))
