@@ -113,9 +113,8 @@ def relation_cosine(nodes: Tensor) -> RelationMatrix:
     values[..., range(k), range(k)] = 1.0
     np.clip(values, -1.0, 1.0, out=values)
 
-    unit = nd / safe[..., None]
-
     def _bw(g):
+        unit = nd / safe[..., None]
         h = g + np.swapaxes(g, -1, -2)
         dn = (np.matmul(h, unit) - (h * values).sum(axis=-1, keepdims=True) * unit) / safe[..., None]
         dn[~nonzero] = 0.0

@@ -222,8 +222,19 @@ class Segmenter:
         return conv2d(h, self.head)
 
     def predict(self, image: Tensor) -> np.ndarray:
-        """Hard per-pixel class decisions."""
-        return self.forward(image).data.argmax(axis=0)
+        """Hard per-pixel class decisions, computed without an autodiff tape.
+
+        ``forward`` runs with every parameter's ``requires_grad`` cleared, so
+        no op records tape links and each intermediate is freed once used;
+        the flags are set again afterwards, also when ``forward`` raises.
+        """
+        for p in self._params.values():
+            p.requires_grad = False
+        try:
+            return self.forward(image).data.argmax(axis=0)
+        finally:
+            for p in self._params.values():
+                p.requires_grad = True
 
 
 def build_model(config: SegmenterConfig) -> Segmenter:

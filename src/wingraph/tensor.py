@@ -8,6 +8,8 @@ and passes gradients through every op, but stores ``.grad`` only on leaves
 (``Parameter``s and ``requires_grad`` inputs) and on intermediates whose
 slot already holds an array, which a caller opts in with ``zero_grad()``.
 The tape is kept after ``backward``, so calling it again accumulates again.
+An op records tape links only when some parent has ``requires_grad``; that
+gate is how inference (``Segmenter.predict``) runs without a tape.
 
 All data is 64-bit, row-major and contiguous.  There is no broadcasting
 beyond what the ops below need, no GPU path, and no in-place arithmetic on

@@ -14,7 +14,7 @@ from wingraph.model import (
 )
 from wingraph.data import synth_dataset
 from wingraph.relation import FusionType
-from wingraph.tensor import cross_entropy_logits
+from wingraph.tensor import Tensor, backward, cross_entropy_logits
 
 TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
                       r_gr=2, r_lr=2, r_ba=2, dataset_size=2, steps=5)
@@ -148,3 +148,57 @@ class TestTapeSize:
         image, labels = synth_dataset("blobs", 1, config.H, config.W, config.num_classes, 0)[0]
         loss = cross_entropy_logits(build_model(config).forward(image), labels)
         assert tape_ops(loss) == 97
+
+
+class TestTapeFreePredict:
+    @staticmethod
+    def build(variant, fusion, enable_gt, enable_ba):
+        config = dataclasses.replace(TOY, relation_variant=variant, fusion=fusion,
+                                     enable_gt=enable_gt, enable_ba=enable_ba)
+        model = build_model(config)
+        rng = np.random.default_rng(11)
+        for name, p in model.parameters().items():
+            if name.endswith(".unsqueeze"):
+                p.data = rng.normal(0.0, 0.5, p.shape)
+        return model
+
+    @staticmethod
+    def step_grads(model, image, labels) -> dict:
+        model.zero_grad()
+        backward(cross_entropy_logits(model.forward(image), labels))
+        grads = {name: p.grad.tobytes() for name, p in model.parameters().items()}
+        for p in model.parameters().values():
+            p.data -= 0.1 * p.grad
+        return grads
+
+    @pytest.mark.parametrize("enable_gt,enable_ba", [(True, True), (True, False), (False, True)],
+                             ids=["gt_ba", "gt", "ba"])
+    @pytest.mark.parametrize("fusion", list(FusionType), ids=lambda f: f.value)
+    @pytest.mark.parametrize("variant", ["softmax", "cosine"])
+    def test_predict_records_no_tape_and_keeps_training_exact(
+            self, monkeypatch, variant, fusion, enable_gt, enable_ba):
+        model = self.build(variant, fusion, enable_gt, enable_ba)
+        (image, labels), (image2, labels2) = synth_dataset("blobs", 2, 4, 4, 2, 3)
+
+        created = []
+        init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        pred = model.predict(image)
+        monkeypatch.undo()
+        assert created
+        assert all(t._parents == () and t._backward is None for t in created)
+        assert pred.tobytes() == model.forward(image).data.argmax(axis=0).tobytes()
+
+        with pytest.raises(ValueError, match="expects"):
+            model.predict(Tensor(np.zeros((3, 5, 4))))
+        assert all(p.requires_grad for p in model.parameters().values())
+
+        fresh = self.build(variant, fusion, enable_gt, enable_ba)
+        assert self.step_grads(model, image2, labels2) == self.step_grads(fresh, image2, labels2)
+        model.predict(image)
+        assert self.step_grads(model, image, labels) == self.step_grads(fresh, image, labels)

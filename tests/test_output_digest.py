@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
@@ -21,3 +22,11 @@ def test_digest_is_repeatable_and_sees_one_weight():
     w = model.parameters()["head"].data
     w[0, 0, 0, 0] = np.nextafter(w[0, 0, 0, 0], np.inf)
     assert output_digest.digest(model, data) != first
+
+
+def test_digest_refuses_non_finite_values():
+    _, config = output_digest.configurations()[0]
+    model, data = output_digest.prepare(config)
+    model.parameters()["head"].data[0, 0, 0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite logits at step 0"):
+        output_digest.digest(model, data)

@@ -8,9 +8,13 @@ softmax and cosine relations, the three fusions, and the graph block with
 the boundary gate, the graph block alone and the gate alone. All use graph
 depth 2 and random unsqueeze weights, because the zero-initialised ones
 would hide the graph path from the logits. The weights and the learning
-rate are small because the medium cosine models reach NaN within three
-steps at larger ones, and a digest over NaN would hide every later
-difference. A 37th line, ``gradcheck-all-seed0``, hashes the stdout of
+rate are small because the medium cosine models overflow within three
+steps at larger ones: at lr 1e-6, two of them reach losses of 2e71 and
+3.5e82 and then non-finite logits, and a digest over NaN would hide every
+later difference. At lr 1e-9 their logits stay below about 1e5. ``digest``
+raises ``FloatingPointError``, so the script exits non-zero, when any
+hashed logit, loss or gradient, or a logit behind a hashed ``predict``,
+is not finite. A 37th line, ``gradcheck-all-seed0``, hashes the stdout of
 ``wingraph gradcheck all --seed 0``, so the same diff covers every
 finite-difference check too. Only the public ``wingraph`` API and its
 command-line entry point are used, so the script runs unchanged against
@@ -38,7 +42,7 @@ SCALES = {"toy": dict(C=16, H=8, W=8, stages=((2, 2, 2), (2, 2, 2))),
           "medium": dict(C=32, H=32, W=32, stages=((2, 4, 4), (2, 4, 4)))}
 COMPONENTS = {"gt_ba": (True, True), "gt": (True, False), "ba": (False, True)}
 STEPS = 3
-LR = 1e-6
+LR = 1e-9
 UNSQUEEZE_STD = 0.01
 
 
@@ -66,21 +70,35 @@ def prepare(config: SegmenterConfig) -> tuple[Segmenter, list[tuple[Tensor, np.n
     return model, data
 
 
+def check_finite(what: str, values: np.ndarray) -> None:
+    """Refuse to hash a non-finite value: a digest over NaN hides later differences."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite {what}")
+
+
 def digest(model: Segmenter, data: list[tuple[Tensor, np.ndarray]]) -> str:
-    """Run one SGD step per sample, as ``train`` does, hashing what each step computes."""
+    """Run one SGD step per sample, as ``train`` does, hashing what each step computes.
+
+    Raises ``FloatingPointError`` when a hashed logit, loss or gradient, or
+    a logit behind a hashed ``predict``, is not finite.
+    """
     h = hashlib.sha256()
-    for image, labels in data:
+    for step, (image, labels) in enumerate(data):
         model.zero_grad()
         logits = model.forward(image)
         loss = cross_entropy_logits(logits, labels)
         backward(loss)
+        check_finite(f"logits at step {step}", logits.data)
+        check_finite(f"loss at step {step}", loss.data)
         h.update(logits.data.tobytes())
         h.update(loss.data.tobytes())
         for name, p in model.parameters().items():
             h.update(name.encode())
             if p.grad is not None:
+                check_finite(f"{name} gradient at step {step}", p.grad)
                 h.update(p.grad.tobytes())
                 p.data -= LR * p.grad
+        check_finite(f"predict logits at step {step}", model.forward(image).data)
         h.update(model.predict(image).tobytes())
     return h.hexdigest()
 
