@@ -11,10 +11,8 @@ import dataclasses
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from wingraph.checkpoint import load_checkpoint, save_checkpoint
-from wingraph.data import load_pgm, save_pgm, save_ppm, synth_dataset
+from wingraph.data import synth_dataset
 from wingraph.metrics import dataset_boundary_band_accuracy, evaluate_miou
 from wingraph.model import SegmenterConfig, build_model, model_param_count
 from wingraph.train import train
@@ -47,12 +45,3 @@ with tempfile.TemporaryDirectory() as tmp:
     again = evaluate_miou(reloaded, eval_set)
     print(f"\ncheckpoint round trip: mIoU {again.mean:.4f} "
           f"(bit-exact: {again.mean == result.mean})")
-
-    # dataset exchange: binary PPM images, PGM label maps
-    image, labels = eval_set[0]
-    save_ppm(Path(tmp) / "sample.ppm", image)
-    save_pgm(Path(tmp) / "sample_labels.pgm", labels)
-    save_pgm(Path(tmp) / "sample_pred.pgm", model.predict(image))
-    assert np.array_equal(load_pgm(Path(tmp) / "sample_labels.pgm"), labels)
-    print("wrote sample.ppm / sample_labels.pgm / sample_pred.pgm "
-          "(PGM label round trip exact)")

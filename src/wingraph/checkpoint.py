@@ -105,7 +105,8 @@ def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
         pos += 16
         expected = 8 * math.prod(shape)
         if length != expected:
-            raise CheckpointError(f"entry {name!r}: byte length {length} != shape size {expected}")
+            size = expected if expected < 2 ** 64 else "over 2**64"  # str() caps int digits
+            raise CheckpointError(f"entry {name!r}: byte length {length} != shape size {size}")
         entries.append(ManifestEntry(name, dtype, tuple(int(s) for s in shape), offset, length))
 
     spans = sorted((e.offset, e.offset + e.length, e.name) for e in entries)

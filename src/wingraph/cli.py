@@ -116,16 +116,19 @@ def format_config(config: SegmenterConfig) -> str:
 
 
 def _out_dir(out: str) -> Path:
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """Create the output directory; commands do so before their work."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return Path(out)
 
 
-def _emit_csv(csv_text: str, out: str | None, filename: str) -> None:
+def _emit_csv(csv_text: str, out: Path | None, filename: str) -> None:
     """Print CSV text and, when an output directory is given, write it there."""
     print(csv_text, end="")
     if out:
-        (_out_dir(out) / filename).write_text(csv_text, encoding="ascii")
+        (out / filename).write_text(csv_text, encoding="ascii")
 
 
 def _datasets(config: SegmenterConfig):
@@ -147,11 +150,12 @@ def _evaluate(model, eval_set):
 
 
 def cmd_gradcheck(args) -> int:
+    out = _out_dir(args.out) if args.out else None
     seeds = [args.seed + i for i in range(GRADCHECK_SEEDS)]
     results = run_gradcheck(args.scope, seeds)
     lines = ["op,max_rel_err,samples"]
     lines += [f"{r.op},{r.max_rel_err:.3e},{r.samples}" for r in results]
-    _emit_csv("\n".join(lines) + "\n", args.out, "gradcheck.csv")
+    _emit_csv("\n".join(lines) + "\n", out, "gradcheck.csv")
     failed = [r for r in results if not r.passed]
     if failed:
         for r in failed:
@@ -195,11 +199,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.override, args.seed)
+    out = _out_dir(args.out) if args.out else None
     model = load_checkpoint(args.checkpoint, config)
     _, eval_set = _datasets(config)
     result, boundary = _evaluate(model, eval_set)
-    if args.out:
-        write_iou_csv(_out_dir(args.out) / "metrics.csv", result.per_class)
+    if out:
+        write_iou_csv(out / "metrics.csv", result.per_class)
     print(f"eval mIoU {result.mean:.4f}, boundary band accuracy {boundary:.4f}")
     return 0
 
@@ -221,6 +226,7 @@ def cmd_ablate(args) -> int:
                 for label, changes in ABLATION_AXES[args.axis]]
     for _, config in settings:
         config.validate()
+    out = _out_dir(args.out) if args.out else None
 
     lines = ["setting,miou,boundary_band_accuracy"]
     for label, config in settings:
@@ -230,7 +236,7 @@ def cmd_ablate(args) -> int:
         result, boundary = _evaluate(model, eval_set)
         lines.append(f"{label},{result.mean!r},{boundary!r}")
         print(lines[-1], file=sys.stderr)
-    _emit_csv("\n".join(lines) + "\n", args.out, f"ablate_{args.axis}.csv")
+    _emit_csv("\n".join(lines) + "\n", out, f"ablate_{args.axis}.csv")
     return 0
 
 
@@ -249,8 +255,9 @@ def cmd_bench(args) -> int:
             or not all(map(math.isfinite, cs)):
         raise ConfigError(f"bench needs non-empty K, D and c lists, K, D, repeats >= 1 and finite c; "
                           f"got K={ks} D={ds} c={cs} repeats={args.repeats}")
+    out = _out_dir(args.out) if args.out else None
     rows = run_benchmark(ks, ds, cs, repeats=args.repeats, seed=args.seed)
-    _emit_csv(format_csv(rows), args.out, "bench.csv")
+    _emit_csv(format_csv(rows), out, "bench.csv")
     bad = [row for row in rows if row.max_abs_diff != 0.0]
     if bad:
         for row in bad:

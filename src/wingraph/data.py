@@ -1,4 +1,4 @@
-"""Synthetic segmentation datasets and portable image exchange.
+"""Synthetic segmentation datasets.
 
 Three label-map families with known, enumerable class boundaries:
 
@@ -11,9 +11,6 @@ Three label-map families with known, enumerable class boundaries:
 Images are the class palette colour plus seeded Gaussian noise, so the
 target is recoverable from pixel colour alone.  Everything is a pure
 function of the seed.
-
-Exchange formats are binary PGM (P5, one gray level per class id) for
-label maps and binary PPM (P6) for images.
 """
 
 from __future__ import annotations
@@ -125,74 +122,3 @@ def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
         validate_label_map(labels, num_classes)
         samples.append((Tensor(render_image(labels, num_classes, rng)), labels))
     return samples
-
-
-# ---------------------------------------------------------------------------
-# PGM / PPM exchange (binary variants, maxval 255)
-
-
-def save_ppm(path, image: np.ndarray | Tensor) -> None:
-    """Write a [3, H, W] float image as binary PPM, clipped to [0, 1]."""
-    data = image.data if isinstance(image, Tensor) else np.asarray(image)
-    if data.ndim != 3 or data.shape[0] != 3:
-        raise ValueError(f"save_ppm expects [3,H,W], got {list(data.shape)}")
-    _, h, w = data.shape
-    pixels = (np.clip(data, 0.0, 1.0) * 255.0).round().astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(pixels.transpose(1, 2, 0).tobytes())
-
-
-def save_pgm(path, labels: np.ndarray) -> None:
-    """Write a label map as binary PGM, class ids as gray levels."""
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValueError(f"save_pgm expects a 2-D label map, got {list(labels.shape)}")
-    if labels.min() < 0 or labels.max() > 255:
-        raise ValueError("save_pgm: class ids must fit one byte")
-    h, w = labels.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(labels.astype(np.uint8).tobytes())
-
-
-def _read_netpbm(path, magic: bytes) -> tuple[int, int, bytes]:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if not raw.startswith(magic):
-        raise ValueError(f"expected {magic.decode()} file, got {raw[:2]!r}")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(raw[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
-    return w, h, raw[pos:]
-
-
-def load_ppm(path) -> np.ndarray:
-    w, h, body = _read_netpbm(path, b"P6")
-    expected = 3 * w * h
-    if len(body) < expected:
-        raise ValueError(f"PPM body truncated: {len(body)} < {expected} bytes")
-    pixels = np.frombuffer(body[:expected], dtype=np.uint8).reshape(h, w, 3)
-    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
-
-
-def load_pgm(path) -> np.ndarray:
-    w, h, body = _read_netpbm(path, b"P5")
-    expected = w * h
-    if len(body) < expected:
-        raise ValueError(f"PGM body truncated: {len(body)} < {expected} bytes")
-    return np.frombuffer(body[:expected], dtype=np.uint8).reshape(h, w).astype(np.int64)

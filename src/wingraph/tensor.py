@@ -23,15 +23,11 @@ is bit-identical to the rank-2 call on that slice.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # GELU tanh-approximation constants: sqrt(2/pi) and the cubic coefficient.
 _GELU_C0 = 0.7978845608028654
 _GELU_C1 = 0.044715
-
-_erf = np.vectorize(math.erf)
 
 
 class Tensor:
@@ -338,19 +334,9 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _op(s, (a,), _bw)
 
 
-def gelu(x: Tensor, exact: bool = False) -> Tensor:
-    """GELU activation; tanh approximation by default, erf form on request."""
+def gelu(x: Tensor) -> Tensor:
+    """GELU activation, tanh approximation."""
     xd = x.data
-    if exact:
-        phi = 0.5 * (1.0 + _erf(xd / math.sqrt(2.0)))
-        out = xd * phi
-        pdf = np.exp(-0.5 * xd * xd) / math.sqrt(2.0 * math.pi)
-
-        def _bw(g):
-            return (g * (phi + xd * pdf),)
-
-        return _op(out, (x,), _bw)
-
     u = _GELU_C0 * (xd + _GELU_C1 * xd ** 3)
     t = np.tanh(u)
     out = 0.5 * xd * (1.0 + t)

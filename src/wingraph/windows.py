@@ -45,18 +45,6 @@ class WindowGrid:
     def num_nodes(self) -> int:
         return self.M * self.N
 
-    def node_index(self, m: int, n: int) -> int:
-        """Linear index of window (m, n), both 0-based."""
-        if not (0 <= m < self.M and 0 <= n < self.N):
-            raise ValueError(f"WindowGrid: window ({m},{n}) outside {self.M}x{self.N} grid")
-        return m * self.N + n
-
-    def window_position(self, i: int) -> tuple[int, int]:
-        """Inverse of node_index."""
-        if not (0 <= i < self.num_nodes):
-            raise ValueError(f"WindowGrid: node {i} outside [0, {self.num_nodes})")
-        return divmod(i, self.N)
-
 
 def _check_map(x: Tensor, grid: WindowGrid) -> None:
     if x.shape != (grid.C, grid.H, grid.W):

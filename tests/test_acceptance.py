@@ -2,12 +2,13 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.  The soft trend criteria (7 and 8) train 15 small
-models for 2000 steps each and take a couple of minutes; everything else
-is fast.
+models for 2000 steps each, two at a time, and take about a minute;
+everything else is fast.
 """
 
 import dataclasses
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -40,26 +41,36 @@ def _report(num: int, text: str) -> None:
     print(f"\n[criterion {num:02d}] PASS - {text}")
 
 
+# (label, enable_gt, enable_ba), longest training first so the pool's last
+# jobs are its shortest
+TREND_LABELS = (("gtba", True, True), ("ba", False, True), ("baseline", False, False))
+
+
+def _trend_run(job):
+    label, enable_gt, enable_ba, seed = job
+    train_set = synth_dataset(TREND["dataset"], TREND["train_size"], 8, 8, 3, seed)
+    eval_set = synth_dataset(TREND["dataset"], TREND["eval_size"], 8, 8, 3, seed + 1000)
+    config = SegmenterConfig(seed=seed, dataset=TREND["dataset"],
+                             enable_gt=enable_gt, enable_ba=enable_ba,
+                             steps=TREND["steps"], lr=TREND["lr"])
+    model = build_model(config)
+    train(model, train_set, TREND["steps"], TREND["lr"])
+    return (label, seed), {
+        "miou": evaluate_miou(model, eval_set).mean,
+        "boundary": dataset_boundary_band_accuracy(model, eval_set, band=1),
+    }
+
+
 @pytest.fixture(scope="module")
 def trend_runs():
-    """Train baseline / BA-only / GT+BA models for every trend seed."""
-    runs = {}
-    for seed in TREND_SEEDS:
-        train_set = synth_dataset(TREND["dataset"], TREND["train_size"], 8, 8, 3, seed)
-        eval_set = synth_dataset(TREND["dataset"], TREND["eval_size"], 8, 8, 3, seed + 1000)
-        for label, enable_gt, enable_ba in (("baseline", False, False),
-                                            ("ba", False, True),
-                                            ("gtba", True, True)):
-            config = SegmenterConfig(seed=seed, dataset=TREND["dataset"],
-                                     enable_gt=enable_gt, enable_ba=enable_ba,
-                                     steps=TREND["steps"], lr=TREND["lr"])
-            model = build_model(config)
-            train(model, train_set, TREND["steps"], TREND["lr"])
-            runs[(label, seed)] = {
-                "miou": evaluate_miou(model, eval_set).mean,
-                "boundary": dataset_boundary_band_accuracy(model, eval_set, band=1),
-            }
-    return runs
+    """Train baseline / BA-only / GT+BA models for every trend seed, two at a time.
+
+    Each run is a pure function of its seed and label, so the figures do not
+    depend on which worker trains it."""
+    jobs = [(label, gt, ba, seed) for label, gt, ba in TREND_LABELS for seed in TREND_SEEDS]
+    # spawn, not fork: numpy's BLAS has started a thread in this process
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        return dict(pool.map(_trend_run, jobs, chunksize=1))
 
 
 def test_criterion_01_gradient_suite():

@@ -174,6 +174,7 @@ def toy_checkpoint(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(edit=edits)
 @example(edit=("mutate", 0, MAGIC[0]))  # the file unchanged
+@example(edit=("mutate", 517, 248))  # a 248-d shape for stage0.gt.lr.unsqueeze
 def test_fuzzed_header_loads_or_is_rejected(toy_checkpoint, edit):
     path, raw = toy_checkpoint
     assert len(raw) > FUZZ_SPAN

@@ -109,8 +109,8 @@ class TestGradcheckCommand:
     def test_corrupted_gradient_exits_one_naming_op(self, capsys, monkeypatch):
         real = tensor.gelu
 
-        def corrupted(x, exact=False):
-            out = real(x, exact=exact)
+        def corrupted(x):
+            out = real(x)
             if out._backward is not None:
                 original = out._backward
                 out._backward = lambda g: tuple(p * 1.1 for p in original(g))
@@ -220,6 +220,13 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "trailing bytes" in err and "Traceback" not in err
 
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)] + FAST) == 0
+        ckpt = str(out / "checkpoint.wgts")
+        assert main(["eval", "--checkpoint", ckpt, "--out", ckpt] + FAST) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
     def test_structural_mismatch_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--out", str(out)] + FAST) == 0
@@ -279,6 +286,15 @@ def _non_utf8_config(tmp_path):
     return ["train", "--config", str(path)]
 
 
+def _file_as_out(command):
+    """``command`` with ``--out`` naming an existing file."""
+    def case(tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        return command + ["--out", str(taken)]
+    return case
+
+
 UNREADABLE_INPUTS = {
     "missing_config": lambda tmp_path: ["train", "--config", str(tmp_path / "missing.cfg")],
     "non_utf8_config": _non_utf8_config,
@@ -295,6 +311,10 @@ UNREADABLE_INPUTS = {
     "bench_inf_c": lambda tmp_path: ["bench", "--K", "2", "--D", "2", "--c", "inf", "--repeats", "1"],
     "nan_lr": lambda tmp_path: ["train", "--override", "lr=nan", "--out", str(tmp_path / "out")],
     "inf_lr": lambda tmp_path: ["train", "--override", "lr=inf", "--out", str(tmp_path / "out")],
+    "train_out_is_a_file": _file_as_out(["train"]),
+    "gradcheck_out_is_a_file": _file_as_out(["gradcheck", "gr"]),
+    "ablate_out_is_a_file": _file_as_out(["ablate", "theta"]),
+    "bench_out_is_a_file": _file_as_out(["bench"]),
 }
 
 

@@ -1,4 +1,4 @@
-"""Synthetic datasets: determinism, label validity, replay oracles, PGM/PPM."""
+"""Synthetic datasets: determinism, label validity, replay oracles."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from wingraph.data import (
     blob_discs,
     checker_labels,
     class_palette,
-    load_pgm,
-    load_ppm,
     paint_discs,
-    save_pgm,
-    save_ppm,
     stripe_labels,
     synth_dataset,
 )
@@ -100,37 +96,3 @@ class TestRendering:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset kind"):
             synth_dataset("noise", 1, 8, 8, 2, 0)
-
-
-class TestNetpbm:
-    def test_ppm_roundtrip_quantised(self, tmp_path):
-        rng = np.random.default_rng(0)
-        image = rng.uniform(0, 1, (3, 6, 5))
-        path = tmp_path / "img.ppm"
-        save_ppm(path, image)
-        loaded = load_ppm(path)
-        assert loaded.shape == (3, 6, 5)
-        assert np.abs(loaded - image).max() <= 0.5 / 255 + 1e-12
-
-    def test_pgm_roundtrip_exact(self, tmp_path):
-        labels = np.random.default_rng(1).integers(0, 5, (7, 4))
-        path = tmp_path / "labels.pgm"
-        save_pgm(path, labels)
-        assert np.array_equal(load_pgm(path), labels)
-
-    def test_pgm_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P3\n1 1\n255\n0")
-        with pytest.raises(ValueError, match="expected P5"):
-            load_pgm(path)
-
-    def test_pgm_truncated_body(self, tmp_path):
-        path = tmp_path / "short.pgm"
-        path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
-        with pytest.raises(ValueError, match="truncated"):
-            load_pgm(path)
-
-    def test_comment_lines_tolerated(self, tmp_path):
-        path = tmp_path / "c.pgm"
-        path.write_bytes(b"P5\n# made by hand\n2 2\n255\n\x00\x01\x02\x03")
-        assert np.array_equal(load_pgm(path), [[0, 1], [2, 3]])

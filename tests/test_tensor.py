@@ -1,5 +1,7 @@
 """Tensor core: forward semantics, shape errors, tape gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -189,11 +191,12 @@ class TestElementwise:
 
     def test_gelu_at_zero(self):
         assert gelu(Tensor([0.0])).data[0] == 0.0
-        assert gelu(Tensor([0.0]), exact=True).data[0] == 0.0
 
     def test_gelu_variants_agree_loosely(self):
-        x = Tensor(np.linspace(-3, 3, 101))
-        np.testing.assert_allclose(gelu(x).data, gelu(x, exact=True).data, atol=2e-3)
+        # The tanh form against the exact GELU, x * Phi(x) with the erf CDF.
+        x = np.linspace(-3, 3, 101)
+        exact = [v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
+        np.testing.assert_allclose(gelu(Tensor(x)).data, exact, atol=2e-3)
 
     def test_hadamard_with_ones(self):
         a = Tensor(np.random.default_rng(6).normal(size=(3, 4)))
@@ -307,7 +310,7 @@ class TestFiniteness:
     def test_forward_ops_preserve_finiteness(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.uniform(-50, 50, (6, 6)))
-        for out in (softmax_rows(x), sigmoid(x), gelu(x), gelu(x, exact=True),
+        for out in (softmax_rows(x), sigmoid(x), gelu(x),
                     matmul(x, x), hadamard(x, x), add(x, x), scalar_mul(x, 3.0)):
             assert np.isfinite(out.data).all()
 

@@ -32,22 +32,15 @@ class TestWindowGrid:
         g = WindowGrid(3, 8, 6, 2, 3)
         assert (g.h_w, g.w_w, g.num_nodes) == (4, 2, 6)
 
-    def test_index_bijection(self):
-        g = WindowGrid(1, 12, 12, 3, 4)
-        seen = set()
-        for m in range(g.M):
-            for n in range(g.N):
-                i = g.node_index(m, n)
-                assert g.window_position(i) == (m, n)
-                seen.add(i)
-        assert seen == set(range(g.num_nodes))
-
-    def test_row_major_index_formula(self):
-        # node i = m * N + n (0-based), the row-by-row walk of the grid
-        g = WindowGrid(1, 4, 6, 2, 3)
-        assert g.node_index(0, 0) == 0
-        assert g.node_index(0, 2) == 2
-        assert g.node_index(1, 0) == 3
+    def test_node_order_is_row_major(self):
+        # 3x4 windows: row-major (i = m * N + n) and column-major order differ.
+        g = WindowGrid(1, 6, 8, 3, 4)
+        x = np.arange(48.0).reshape(1, 6, 8)
+        blocks = partition(Tensor(x), g).data
+        for i in range(g.num_nodes):
+            m, n = divmod(i, g.N)
+            block = x[:, m * g.h_w:(m + 1) * g.h_w, n * g.w_w:(n + 1) * g.w_w]
+            assert np.array_equal(blocks[i], block), i
 
 
 class TestPartition:
@@ -132,7 +125,7 @@ class TestWindowTokens:
         tokens = window_tokens(Tensor(x), g).data
         assert tokens.shape == (6, 4, 3)
         for i in range(g.num_nodes):
-            m, n = g.window_position(i)
+            m, n = divmod(i, g.N)
             for p in range(g.h_w * g.w_w):
                 r, c = divmod(p, g.w_w)
                 assert np.array_equal(tokens[i, p], x[:, m * g.h_w + r, n * g.w_w + c])
