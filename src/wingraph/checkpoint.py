@@ -11,8 +11,8 @@ Layout (all integers little-endian):
 
 Offsets are relative to the start of the blob (the byte right after the
 last manifest entry), and the file ends where the last entry's data ends.
-Loading validates the whole file before touching the model, so a failed
-load leaves the model as built.
+Every stored value must be finite.  Loading validates the whole file before
+touching the model, so a failed load leaves the model as built.
 """
 
 from __future__ import annotations
@@ -120,7 +120,9 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
     """Build a model from ``config`` and fill it from the file.
 
     The manifest must name exactly the model's parameters with matching
-    shapes; any structural difference is a manifest mismatch.
+    shapes; any structural difference is a manifest mismatch.  Every value
+    must be finite: the first entry, in manifest order, holding a NaN or an
+    infinity is named in the ``CheckpointError``.
     """
     try:
         with open(path, "rb") as f:
@@ -149,6 +151,8 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
             raise CheckpointError(f"manifest mismatch: {e.name!r} has shape {list(e.shape)}, "
                                   f"model expects {list(params[e.name].shape)}")
         arr = np.frombuffer(blob, dtype="<f8", count=e.length // 8, offset=e.offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"entry {e.name!r} holds a NaN or an infinity")
         loaded[e.name] = arr.reshape(e.shape).astype(np.float64)
     for name, arr in loaded.items():
         params[name].data = np.ascontiguousarray(arr)

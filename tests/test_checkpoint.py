@@ -121,6 +121,20 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="trailing bytes"):
             load_checkpoint(bad, TOY)
 
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, trained, tmp_path, bad_value):
+        _, _, path = trained
+        raw = bytearray(path.read_bytes())
+        entries, blob_start = read_manifest(bytes(raw))
+        # Poison the last value of the second and third entries: the error
+        # names the second, the first in manifest order.
+        for e in entries[1:3]:
+            struct.pack_into("<d", raw, blob_start + e.offset + e.length - 8, bad_value)
+        bad = tmp_path / "nan.wgts"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"entry '{entries[1].name}' holds a NaN or an infinity"):
+            load_checkpoint(bad, TOY)
+
     def test_manifest_mismatch_different_structure(self, trained):
         _, _, path = trained
         other = dataclasses.replace(TOY, enable_ba=False)

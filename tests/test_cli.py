@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -219,6 +220,16 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ckpt)] + FAST) == 2
         err = capsys.readouterr().err
         assert "trailing bytes" in err and "Traceback" not in err
+
+    def test_nan_weight_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)] + FAST) == 0
+        ckpt = out / "checkpoint.wgts"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:-8] + struct.pack("<d", float("nan")))  # the last weight
+        assert main(["eval", "--checkpoint", str(ckpt)] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "holds a NaN or an infinity" in err and "Traceback" not in err
 
     def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wingraph.tensor import (
     Parameter,
@@ -47,6 +49,40 @@ def naive_conv2d(x, w):
                                 acc += w[o, c, i, j] * x[c, yy, xj]
                 out[o, y, xx] = acc
     return out
+
+
+def per_offset_conv2d(x, w, g):
+    """conv2d as one rank-2 product per kernel offset: output, dX and dW.
+
+    The loop ``conv2d`` ran before its kernel rows were stacked, kept as the
+    byte-for-byte reference: ascending (i, j) sums into zero-initialised
+    buffers, one offset at a time.
+    """
+    c_out, c_in, k, _ = w.shape
+    _, h, wd = x.shape
+    pad = (k - 1) // 2
+    xp = np.zeros((c_in, h + 2 * pad, wd + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + wd] = x
+    g2 = g.reshape(c_out, h * wd)
+    out = np.zeros((c_out, h, wd))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, i:i + h, j:j + wd].reshape(c_in, h * wd)
+            out += np.matmul(w[:, :, i, j], patch).reshape(c_out, h, wd)
+            dw[:, :, i, j] = np.matmul(g2, patch.T)
+            dxp[:, i:i + h, j:j + wd] += np.matmul(w[:, :, i, j].T, g2).reshape(c_in, h, wd)
+    return out, dxp[:, pad:pad + h, pad:pad + wd], dw
+
+
+def signed_normals(rng, shape):
+    """Normal entries of both signs, about a quarter each set to 0.0 and -0.0."""
+    data = rng.normal(size=shape)
+    kinds = rng.integers(0, 4, size=shape)
+    data[kinds == 2] = 0.0
+    data[kinds == 3] = -0.0
+    return data
 
 
 class TestTensorBasics:
@@ -147,6 +183,21 @@ class TestConv2d:
         out = conv2d(Tensor(x), Tensor(w))
         oracle = np.matmul(w[:, :, 0, 0], x.reshape(5, 24)).reshape(3, 4, 6)
         assert np.array_equal(out.data, oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.sampled_from((1, 3, 5, 7)), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
+           h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_offset_loop_byte_for_byte(self, k, c_in, c_out, h, w, seed):
+        # H or W below k puts some kernel rows or columns wholly in the padding.
+        rng = np.random.default_rng(seed)
+        x, wt, g = (signed_normals(rng, shape) for shape in ((c_in, h, w), (c_out, c_in, k, k),
+                                                             (c_out, h, w)))
+        out = conv2d(Tensor(x, requires_grad=True), Parameter(wt, "w"))
+        dx, dw = out._backward(g)
+        ref_out, ref_dx, ref_dw = per_offset_conv2d(x, wt, g)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+        assert dw.tobytes() == ref_dw.tobytes()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="even kernel"):
@@ -325,7 +376,9 @@ class TestNoAliasing:
         (matmul, [(3, 4, 5), (5, 2)]),
         (matmul, [(3, 4, 5), (3, 5, 2)]),
         (sigmoid, [(4, 5)]),
-    ], ids=["softmax_rows", "softmax_rows_stacked", "matmul_shared", "matmul_stacked", "sigmoid"])
+        (conv2d, [(2, 5, 6), (3, 2, 7, 7)]),
+    ], ids=["softmax_rows", "softmax_rows_stacked", "matmul_shared", "matmul_stacked", "sigmoid",
+            "conv2d_k7"])
     def test_forward_and_backward_leave_operands_unchanged(self, op, shapes):
         rng = np.random.default_rng(13)
         inputs = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
