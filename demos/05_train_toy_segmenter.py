@@ -13,7 +13,7 @@ from pathlib import Path
 
 from wingraph.checkpoint import load_checkpoint, save_checkpoint
 from wingraph.data import synth_dataset
-from wingraph.metrics import dataset_boundary_band_accuracy, evaluate_miou
+from wingraph.metrics import boundary_band_accuracy, evaluate_miou, miou, predictions
 from wingraph.model import SegmenterConfig, build_model, model_param_count
 from wingraph.train import train
 
@@ -31,12 +31,12 @@ report = train(model, train_set, config.steps, config.lr)
 print(f"\ntrained {report.steps} steps: loss {report.losses[0]:.4f} -> {report.final_loss:.4f}")
 print(f"train pixel accuracy: {report.final_pixel_accuracy:.4f}")
 
-result = evaluate_miou(model, eval_set)
+pred, labels = predictions(model, eval_set)
+result = miou(pred, labels, config.num_classes)
 print("\nheld-out per-class IoU:",
       ["%.3f" % v for v in result.per_class])
 print(f"held-out mIoU: {result.mean:.4f}")
-print(f"boundary-band accuracy (band=1): "
-      f"{dataset_boundary_band_accuracy(model, eval_set, band=1):.4f}")
+print(f"boundary-band accuracy (band=1): {boundary_band_accuracy(pred, labels, band=1):.4f}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.wgts"

@@ -23,7 +23,7 @@ from .bench import format_csv, run_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import synth_dataset
 from .gradcheck import SCOPE_NAMES, TOLERANCE, run_gradcheck
-from .metrics import EmptyBandError, dataset_boundary_band_accuracy, evaluate_miou, write_iou_csv
+from .metrics import EmptyBandError, boundary_band_accuracy, miou, predictions, write_iou_csv
 from .model import ConfigError, SegmenterConfig, build_model
 from .relation import FusionType
 from .train import TrainingDiverged, train
@@ -142,9 +142,10 @@ def _datasets(config: SegmenterConfig):
 def _evaluate(model, eval_set):
     """(mIoU result, boundary band accuracy) on the evaluation set; the band
     accuracy is nan when no evaluation label map has a class boundary."""
-    result = evaluate_miou(model, eval_set)
+    pred, labels = predictions(model, eval_set)
+    result = miou(pred, labels, model.config.num_classes)
     try:
-        return result, dataset_boundary_band_accuracy(model, eval_set, band=1)
+        return result, boundary_band_accuracy(pred, labels, band=1)
     except EmptyBandError:
         return result, math.nan
 

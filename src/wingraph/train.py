@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import evaluate_miou
+from .metrics import pixel_accuracy, predictions
 from .model import Segmenter
 from .tensor import Tensor, backward, cross_entropy_logits
 
@@ -55,6 +55,5 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
     report.steps = steps
     if report.losses:
         report.final_loss = report.losses[-1]
-    cm = evaluate_miou(model, dataset).confusion
-    report.final_pixel_accuracy = float(np.trace(cm) / cm.sum())
+    report.final_pixel_accuracy = pixel_accuracy(*predictions(model, dataset))
     return report

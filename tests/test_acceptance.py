@@ -19,7 +19,7 @@ from wingraph.checkpoint import CheckpointError, load_checkpoint, save_checkpoin
 from wingraph.data import synth_dataset
 from wingraph.gradcheck import TOLERANCE, run_gradcheck
 from wingraph.graph import make_theta, node_update, node_update_sparse, relation_cosine, relation_softmax, sparsify
-from wingraph.metrics import dataset_boundary_band_accuracy, evaluate_miou, miou
+from wingraph.metrics import boundary_band_accuracy, evaluate_miou, miou, predictions
 from wingraph.model import SegmenterConfig, build_model, baseline_param_count, model_param_count
 from wingraph.relation import FusionType, RelationParams, graph_transformer_block
 from wingraph.tensor import Tensor
@@ -55,9 +55,10 @@ def _trend_run(job):
                              steps=TREND["steps"], lr=TREND["lr"])
     model = build_model(config)
     train(model, train_set, TREND["steps"], TREND["lr"])
+    pred, labels = predictions(model, eval_set)
     return (label, seed), {
-        "miou": evaluate_miou(model, eval_set).mean,
-        "boundary": dataset_boundary_band_accuracy(model, eval_set, band=1),
+        "miou": miou(pred, labels, config.num_classes).mean,
+        "boundary": boundary_band_accuracy(pred, labels, band=1),
     }
 
 

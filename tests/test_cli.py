@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, file outputs, overrides."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -16,7 +17,7 @@ from wingraph import tensor
 from wingraph.cli import format_config, load_config, main, parse_config_text
 from wingraph.data import DATASET_KINDS
 from wingraph.graph import _VARIANTS
-from wingraph.model import ConfigError, SegmenterConfig
+from wingraph.model import ConfigError, Segmenter, SegmenterConfig
 from wingraph.relation import FusionType
 
 FAST = ["--override", "C=4", "--override", "H=4", "--override", "W=4",
@@ -201,6 +202,21 @@ class TestEvalCommand:
         ckpt = str(out / "checkpoint.wgts")
         assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "e")] + FAST) == 0
         assert (tmp_path / "e" / "metrics.csv").exists()
+
+    def test_predicts_each_eval_image_once(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)] + FAST) == 0
+        calls = collections.Counter()
+        predict = Segmenter.predict
+
+        def counted(model, image):
+            calls[image.data.tobytes()] += 1
+            return predict(model, image)
+
+        monkeypatch.setattr(Segmenter, "predict", counted)
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.wgts")] + FAST) == 0
+        assert "boundary band accuracy nan" not in capsys.readouterr().out
+        assert sorted(calls.values()) == [1, 1]  # dataset_size=2 distinct images
 
     def test_non_utf8_manifest_name_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
