@@ -6,6 +6,12 @@ by a mean-derived threshold, and propagated: each node becomes the
 affinity-weighted sum of its kept neighbours, followed by a learnable
 right-multiplication.
 
+``run_graph`` records one tape op per round (relate, prune, propagate,
+mix), built from the raw-array helpers the public ops use, so it is
+byte-identical to the op chain of those ops; the round's nodes get their
+gradient parts added as (propagation + relation a-slot) + transposed slot
+for softmax and propagation + cosine for cosine, the tape's order.
+
 Every function here also takes a [B, K, D] stack of B independent graphs
 (one per window, say) and treats each slice exactly as the rank-2 call
 would: each graph gets its own relation matrix and its own threshold, and
@@ -34,7 +40,12 @@ import numpy as np
 from .tensor import (
     Parameter,
     Tensor,
+    _mask_data,
+    _matmul_data,
+    _matmul_grads,
     _op,
+    _softmax_data,
+    _softmax_grad,
     apply_mask,
     matmul,
     softmax_rows,
@@ -89,17 +100,9 @@ def _check_nodes(nodes, op: str) -> None:
         raise ValueError(f"{op}: [K, D] nodes or a [B, K, D] stack required, got {list(nodes.shape)}")
 
 
-def relation_cosine(nodes: Tensor) -> RelationMatrix:
-    """Pairwise cosine similarity of node rows.
-
-    The diagonal is 1 by definition, including for all-zero rows; an
-    all-zero row relates to every other node with 0.  Off-diagonal entries
-    are clamped into [-1, 1] to absorb last-ulp rounding of the norm
-    product.  The clamp and the zero-row convention are treated as
-    pass-through / constant regions by the backward pass.
-    """
-    _check_nodes(nodes, "relation_cosine")
-    nd = nodes.data
+def _cosine_data(nd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine relation values of raw nodes, with the row norms (1 for
+    all-zero rows) and the nonzero-row flags that the backward reads."""
     k = nd.shape[-2]
     # vecdot takes each pair's dot product as np.dot does, so an entry does
     # not depend on the other rows; a matmul would block the sum differently.
@@ -112,15 +115,32 @@ def relation_cosine(nodes: Tensor) -> RelationMatrix:
     values = np.where(both, dots / (safe[..., :, None] * safe[..., None, :]), 0.0)
     values[..., range(k), range(k)] = 1.0
     np.clip(values, -1.0, 1.0, out=values)
+    return values, safe, nonzero
 
-    def _bw(g):
-        unit = nd / safe[..., None]
-        h = g + np.swapaxes(g, -1, -2)
-        dn = (np.matmul(h, unit) - (h * values).sum(axis=-1, keepdims=True) * unit) / safe[..., None]
-        dn[~nonzero] = 0.0
-        return (dn,)
 
-    return RelationMatrix(_op(values, (nodes,), _bw))
+def _cosine_grad(nd: np.ndarray, values: np.ndarray, safe: np.ndarray, nonzero: np.ndarray,
+                 g: np.ndarray) -> np.ndarray:
+    """The nodes' gradient from the cosine values' gradient ``g``."""
+    unit = nd / safe[..., None]
+    h = g + np.swapaxes(g, -1, -2)
+    dn = (np.matmul(h, unit) - (h * values).sum(axis=-1, keepdims=True) * unit) / safe[..., None]
+    dn[~nonzero] = 0.0
+    return dn
+
+
+def relation_cosine(nodes: Tensor) -> RelationMatrix:
+    """Pairwise cosine similarity of node rows.
+
+    The diagonal is 1 by definition, including for all-zero rows; an
+    all-zero row relates to every other node with 0.  Off-diagonal entries
+    are clamped into [-1, 1] to absorb last-ulp rounding of the norm
+    product.  The clamp and the zero-row convention are treated as
+    pass-through / constant regions by the backward pass.
+    """
+    _check_nodes(nodes, "relation_cosine")
+    nd = nodes.data
+    values, safe, nonzero = _cosine_data(nd)
+    return RelationMatrix(_op(values, (nodes,), lambda g: (_cosine_grad(nd, values, safe, nonzero, g),)))
 
 
 def relation_softmax(nodes: Tensor) -> RelationMatrix:
@@ -150,6 +170,13 @@ def make_theta(values, coefficient: float = 0.25) -> float | np.ndarray:
     return float(theta) if data.ndim == 2 else theta
 
 
+def _above(values: np.ndarray, theta: float | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """``theta`` as :func:`sparsify` stores it, and the mask of the entries
+    strictly above it."""
+    theta = float(theta) if values.ndim == 2 else np.asarray(theta, dtype=np.float64)
+    return theta, values > np.expand_dims(theta, (-2, -1))
+
+
 def sparsify(rel: RelationMatrix, theta: float | np.ndarray) -> RelationMatrix:
     """Keep entries strictly above ``theta``; zero the rest exactly.
 
@@ -160,8 +187,7 @@ def sparsify(rel: RelationMatrix, theta: float | np.ndarray) -> RelationMatrix:
     re-applying the same theta never changes a kept entry or resurrects a
     pruned one.
     """
-    theta = float(theta) if rel.values.ndim == 2 else np.asarray(theta, dtype=np.float64)
-    mask = rel.values.data > np.expand_dims(theta, (-2, -1))
+    theta, mask = _above(rel.values.data, theta)
     return RelationMatrix(apply_mask(rel.values, mask), mask, theta)
 
 
@@ -216,9 +242,7 @@ def node_update(rel: RelationMatrix, nodes: Tensor) -> Tensor:
     vals = rel.values
     _check_relation_matches(vals.shape, nodes.shape, "node_update")
     vd, nd = vals.data, nodes.data
-    out = node_update_dense_data(vd, nd)
-    return _op(out, (vals, nodes), lambda g: (np.matmul(g, np.swapaxes(nd, -1, -2)),
-                                              np.matmul(np.swapaxes(vd, -1, -2), g)))
+    return _op(node_update_dense_data(vd, nd), (vals, nodes), lambda g: _matmul_grads(vd, nd, g))
 
 
 def node_update_sparse(rel: RelationMatrix, nodes: np.ndarray) -> np.ndarray:
@@ -229,9 +253,50 @@ def node_update_sparse(rel: RelationMatrix, nodes: np.ndarray) -> np.ndarray:
     return node_update_sparse_data(rel.values.data, rel.mask, nodes)
 
 
+def _graph_round(x: Tensor, w: Tensor, cfg: GraphConfig) -> Tensor:
+    """One relate -> prune -> propagate -> mix round as one tape op.
+
+    The forward and the backward take the steps, raw-array helpers and
+    operand layouts of the op chain ``relation`` -> ``make_theta`` ->
+    ``sparsify`` -> ``node_update`` -> ``matmul``, so output and gradients
+    are byte-identical to that chain.  The nodes feed the round more than
+    once, and their gradient parts are added in the chain's tape order:
+    (propagation + relation a-slot) + transposed slot for softmax, and
+    propagation + cosine for cosine.
+    """
+    variant = cfg.variant
+    if variant not in _VARIANTS:
+        raise ValueError(f"relation: unknown variant {variant!r}")
+    _check_nodes(x, f"relation_{variant}")
+    xd, wd = x.data, w.data
+    if variant == VARIANT_SOFTMAX:
+        # The transposed nodes are a contiguous copy, as the chain's
+        # ``transpose`` op made, so the product gets the same BLAS call.
+        xt = np.ascontiguousarray(np.swapaxes(xd, -1, -2))
+        dots = _matmul_data(xd, xt)
+        rel = _softmax_data(dots, out=dots)
+    else:
+        rel, safe, nonzero = _cosine_data(xd)
+    # ``rel`` stays unpruned: both relation backwards read it.
+    _, mask = _above(rel, make_theta(rel, cfg.theta_coefficient))
+    kept = _mask_data(rel, mask)
+    prop = node_update_dense_data(kept, xd)
+
+    def _bw(g):
+        d_prop, dw = _matmul_grads(prop, wd, g)
+        d_kept, dx = _matmul_grads(kept, xd, d_prop)
+        d_rel = _mask_data(d_kept, mask)
+        if variant == VARIANT_SOFTMAX:
+            dx_a, dx_t = _matmul_grads(xd, xt, _softmax_grad(rel, d_rel))
+            return (dx + dx_a) + np.swapaxes(dx_t, -1, -2), dw
+        return dx + _cosine_grad(xd, rel, safe, nonzero, d_rel), dw
+
+    return _op(_matmul_data(prop, wd), (x, w), _bw)
+
+
 def run_graph(nodes: Tensor, weights: list[Parameter] | tuple[Parameter, ...],
               config: GraphConfig | None = None) -> Tensor:
-    """Apply L rounds of relate -> prune -> propagate -> mix.
+    """Apply L rounds of relate -> prune -> propagate -> mix, one tape op each.
 
     The relation matrix and its threshold are recomputed from the current
     node features at every round, for each graph of a stack separately.
@@ -242,9 +307,5 @@ def run_graph(nodes: Tensor, weights: list[Parameter] | tuple[Parameter, ...],
     cfg = config or GraphConfig()
     x = nodes
     for w in weights:
-        rel = relation(x, cfg.variant)
-        theta = make_theta(rel.values, cfg.theta_coefficient)
-        rel = sparsify(rel, theta)
-        x = node_update(rel, x)
-        x = matmul(x, w)
+        x = _graph_round(x, w, cfg)
     return x

@@ -27,14 +27,14 @@ from .relation import (
 from .tensor import (
     Parameter,
     Tensor,
-    add,
+    _matmul_data,
+    _matmul_grads,
+    _op,
+    _softmax_data,
+    _softmax_grad,
     conv2d,
-    matmul,
-    scalar_mul,
-    softmax_rows,
-    transpose,
 )
-from .windows import WindowGrid, merge_tokens, window_tokens
+from .windows import WindowGrid, _check_map, _check_windows, _regroup_data, _token_moves
 
 
 class ConfigError(ValueError):
@@ -121,7 +121,18 @@ class SegmenterConfig:
 
 
 class WindowAttention:
-    """Plain scaled dot-product self-attention inside each window."""
+    """Plain scaled dot-product self-attention inside each window.
+
+    ``forward`` is one tape op with parents (x, wq, wk, wv).  Windows are
+    the stack axis: each window's tokens attend among themselves.  Forward
+    and backward take the steps, raw-array helpers and operand layouts of
+    the op chain ``window_tokens`` -> ``matmul`` (q, k, v) -> ``transpose``
+    -> ``matmul`` -> ``scalar_mul`` -> ``softmax_rows`` -> ``matmul`` ->
+    ``merge_tokens`` -> ``add``, so output and gradients are byte-identical
+    to that chain.  Arrays feeding several steps get their gradient parts
+    added in the chain's tape order: the tokens (q + k) + v, the block input
+    g + the regrouped tokens' gradient.
+    """
 
     def __init__(self, c: int, rng: np.random.Generator, prefix: str):
         self.c = c
@@ -131,13 +142,36 @@ class WindowAttention:
         self.wv = Parameter(rng.normal(0.0, scale, (c, c)), f"{prefix}.wv")
 
     def forward(self, x: Tensor, grid: WindowGrid) -> Tensor:
-        # Windows are the stack axis: one attention per window's tokens.
-        tokens = window_tokens(x, grid)
-        q = matmul(tokens, self.wq)
-        k = matmul(tokens, self.wk)
-        v = matmul(tokens, self.wv)
-        att = softmax_rows(scalar_mul(matmul(q, transpose(k)), self.c ** -0.5))
-        return add(x, merge_tokens(matmul(att, v), grid))
+        _check_map(x, grid)
+        to_tokens, from_tokens = _token_moves(grid)
+        wq, wk, wv = self.wq.data, self.wk.data, self.wv.data
+        scale = self.c ** -0.5
+        # Every array the chain held as a Tensor is contiguous, as
+        # ``Tensor`` makes it, so each product gets the chain's BLAS call.
+        tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
+        q = _matmul_data(tokens, wq)
+        k = _matmul_data(tokens, wk)
+        v = _matmul_data(tokens, wv)
+        kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+        # The scores buffer is private, so scaling and softmax work in place.
+        att = _matmul_data(q, kt)
+        att *= scale
+        _softmax_data(att, out=att)
+        mixed = _matmul_data(att, v)
+        _check_windows(mixed.shape, to_tokens[2], "merge_tokens")
+
+        def _bw(g):
+            d_att, dv = _matmul_grads(att, v, _regroup_data(g, *to_tokens))
+            d_scores = _softmax_grad(att, d_att)
+            d_scores *= scale
+            dq, d_kt = _matmul_grads(q, kt, d_scores)
+            d_tok_q, dwq = _matmul_grads(tokens, wq, dq)
+            d_tok_k, dwk = _matmul_grads(tokens, wk, np.swapaxes(d_kt, -1, -2))
+            d_tok_v, dwv = _matmul_grads(tokens, wv, dv)
+            d_tokens = (d_tok_q + d_tok_k) + d_tok_v
+            return g + _regroup_data(d_tokens, *from_tokens), dwq, dwk, dwv
+
+        return _op(x.data + _regroup_data(mixed, *from_tokens), (x, self.wq, self.wk, self.wv), _bw)
 
     def named_parameters(self) -> list[Parameter]:
         return [self.wq, self.wk, self.wv]

@@ -18,7 +18,20 @@ passes (that is how SGD works).
 
 ``matmul``, ``transpose`` and ``softmax_rows`` also take [B, p, q] stacks,
 so many independent windows run as one op; each slice of a stacked result
-is bit-identical to the rank-2 call on that slice.  ``conv2d`` leans on the
+is bit-identical to the rank-2 call on that slice.
+
+The forward and backward arithmetic of ``matmul``, ``softmax_rows`` and
+``apply_mask`` lives in raw-array helpers (``_matmul_data``,
+``_matmul_grads``, ``_softmax_data``, ``_softmax_grad``, ``_mask_data``).
+The public ops are thin ``_op`` wrappers over them, and the composite
+ops that record one tape op each (a window attention block in
+``model.py``, a graph round in ``graph.py``) call the same helpers on the
+same operands in the same order, so their bytes equal the op chain's.
+Where one array feeds several steps of such an op, its gradient parts are
+added in the order the tape would add them: an attention block's tokens
+as (q + k) + v, its input as g + the regrouped tokens' gradient; a
+softmax round's nodes as (propagation + relation a-slot) + transposed
+slot, a cosine round's as propagation + cosine.  ``conv2d`` leans on the
 same slice equality: a k x k kernel takes one stacked product per kernel
 row (k calls, not k*k), and the per-offset products are still summed one
 at a time in ascending (i, j) order.
@@ -178,6 +191,35 @@ def sum_all(a: Tensor) -> Tensor:
     return _op(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, float(g)),))
 
 
+def _matmul_data(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """``matmul``'s forward on raw arrays, shape checks included."""
+    if ad.ndim not in (2, 3) or bd.ndim not in (2, ad.ndim):
+        raise ValueError(f"matmul: need [p,q] or [B,p,q] @ [q,s] or [B,q,s], "
+                         f"got {list(ad.shape)} and {list(bd.shape)}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ValueError(f"matmul: inner dimensions disagree, {list(ad.shape)} vs {list(bd.shape)}")
+    if bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
+        raise ValueError(f"matmul: stack sizes disagree, {list(ad.shape)} vs {list(bd.shape)}")
+    return np.matmul(ad, bd)
+
+
+def _matmul_grads(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``matmul``'s backward on raw arrays: the gradients of ``ad`` and ``bd``."""
+    da = np.matmul(g, np.swapaxes(bd, -1, -2))
+    db = np.matmul(np.swapaxes(ad, -1, -2), g)
+    if db.ndim > bd.ndim:
+        # A shared b receives the sum of every slice's contribution, added
+        # in ascending slice order as a loop of rank-2 calls would add
+        # them (sum() may pair them up differently).  db is private here,
+        # so the running sum accumulates in place into its first slice
+        # rather than building all B partial sums.
+        acc = db[0]
+        for i in range(1, db.shape[0]):
+            acc += db[i]
+        db = acc
+    return da, db
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product [p x q] @ [q x s] -> [p x s], optionally over a stack.
 
@@ -186,31 +228,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     by every slice.  Each slice's product is computed exactly as the
     rank-2 call would compute it.
     """
-    if a.ndim not in (2, 3) or b.ndim not in (2, a.ndim):
-        raise ValueError(f"matmul: need [p,q] or [B,p,q] @ [q,s] or [B,q,s], "
-                         f"got {list(a.shape)} and {list(b.shape)}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: inner dimensions disagree, {list(a.shape)} vs {list(b.shape)}")
-    if b.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise ValueError(f"matmul: stack sizes disagree, {list(a.shape)} vs {list(b.shape)}")
     ad, bd = a.data, b.data
-
-    def _bw(g):
-        da = np.matmul(g, np.swapaxes(bd, -1, -2))
-        db = np.matmul(np.swapaxes(ad, -1, -2), g)
-        if db.ndim > bd.ndim:
-            # A shared b receives the sum of every slice's contribution, added
-            # in ascending slice order as a loop of rank-2 calls would add
-            # them (sum() may pair them up differently).  db is private to
-            # this closure, so the running sum accumulates in place into its
-            # first slice rather than building all B partial sums.
-            acc = db[0]
-            for i in range(1, db.shape[0]):
-                acc += db[i]
-            db = acc
-        return (da, db)
-
-    return _op(np.matmul(ad, bd), (a, b), _bw)
+    return _op(_matmul_data(ad, bd), (a, b), lambda g: _matmul_grads(ad, bd, g))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -253,6 +272,12 @@ def stack(tensors: list[Tensor]) -> Tensor:
     return _op(data, tuple(tensors), lambda g: tuple(g[k] for k in range(len(tensors))))
 
 
+def _mask_data(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``a`` where ``kept`` is True, exactly 0 elsewhere: ``apply_mask``'s
+    forward and, on the gradient, its backward."""
+    return np.where(kept, a, 0.0)
+
+
 def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
     """Keep entries where ``mask`` is True, set the rest to exactly 0.
 
@@ -262,7 +287,7 @@ def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
     if mask.shape != a.shape:
         raise ValueError(f"apply_mask: shape mismatch {list(a.shape)} vs {list(mask.shape)}")
     kept = mask.astype(bool)
-    return _op(np.where(kept, a.data, 0.0), (a,), lambda g: (np.where(kept, g, 0.0),))
+    return _op(_mask_data(a.data, kept), (a,), lambda g: (_mask_data(g, kept),))
 
 
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -345,24 +370,34 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     return _op(out, (x, w), _bw)
 
 
+def _softmax_data(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax of a raw array, stabilised by the per-row max.
+
+    All steps after the max-subtraction work in place on one buffer: a new
+    one, or ``out``, which may be ``a`` itself when the caller owns it.  The
+    same elementwise steps as e / e.sum() with e = exp(a - max).
+    """
+    s = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Softmax backward, s * (g - (g * s).sum()), in one new buffer."""
+    t = g * s
+    np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
+    t *= s
+    return t
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax along the last axis of a [p, q] matrix or a [B, p, q] stack,
     stabilised by the per-row max."""
     if a.ndim not in (2, 3):
         raise ValueError(f"softmax_rows: rank-2 or rank-3 tensor required, got {list(a.shape)}")
-    # In place on one buffer: the same elementwise steps as e / e.sum() with
-    # e = exp(a - max), and as s * (g - (g * s).sum()) backward.
-    s = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-
-    def _bw(g):
-        t = g * s
-        np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
-        t *= s
-        return (t,)
-
-    return _op(s, (a,), _bw)
+    s = _softmax_data(a.data)
+    return _op(s, (a,), lambda g: (_softmax_grad(s, g),))
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .tensor import Tensor, _op, reshape
 
 
@@ -62,14 +64,21 @@ def _undo(split: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(split[a] for a in axes), tuple(axes.index(a) for a in range(len(axes)))
 
 
+def _regroup_data(a: np.ndarray, split: tuple[int, ...], axes: tuple[int, ...],
+                  out: tuple[int, ...]) -> np.ndarray:
+    """Reshape to ``split``, reorder axes, reshape to ``out``.  The result is
+    a view where numpy can make one and a copy otherwise."""
+    return a.reshape(split).transpose(axes).reshape(out)
+
+
 def _regroup(x: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
              out: tuple[int, ...]) -> Tensor:
-    """Reshape to ``split``, reorder axes, reshape to ``out``: one tape op,
-    whose backward runs the inverse regrouping on the gradient."""
+    """:func:`_regroup_data` as one tape op, whose backward runs the inverse
+    regrouping on the gradient."""
     moved, inverse = _undo(split, axes)
     shape = x.shape
-    return _op(x.data.reshape(split).transpose(axes).reshape(out), (x,),
-               lambda g: (g.reshape(moved).transpose(inverse).reshape(shape),))
+    return _op(_regroup_data(x.data, split, axes, out), (x,),
+               lambda g: (_regroup_data(g, moved, inverse, shape),))
 
 
 def _split(g: WindowGrid) -> tuple[int, ...]:
@@ -82,10 +91,14 @@ def _to_windows(x: Tensor, grid: WindowGrid, axes: tuple[int, ...],
     return _regroup(x, _split(grid), axes, out)
 
 
+def _check_windows(shape: tuple[int, ...], expected: tuple[int, ...], name: str) -> None:
+    if shape != expected:
+        raise ValueError(f"{name} expects {list(expected)}, got {list(shape)}")
+
+
 def _from_windows(w: Tensor, grid: WindowGrid, axes: tuple[int, ...],
                   expected: tuple[int, ...], name: str) -> Tensor:
-    if w.shape != expected:
-        raise ValueError(f"{name} expects {list(expected)}, got {list(w.shape)}")
+    _check_windows(w.shape, expected, name)
     return _regroup(w, *_undo(_split(grid), axes), (grid.C, grid.H, grid.W))
 
 
@@ -114,17 +127,26 @@ def merge_nodes(nodes: Tensor, grid: WindowGrid) -> Tensor:
     return _from_windows(nodes, g, _BLOCKS, (g.num_nodes, g.C * g.h_w * g.w_w), "merge_nodes")
 
 
+def _tokens_shape(g: WindowGrid) -> tuple[int, int, int]:
+    return (g.num_nodes, g.h_w * g.w_w, g.C)
+
+
 def window_tokens(x: Tensor, grid: WindowGrid) -> Tensor:
     """[C, H, W] -> [K, h_w * w_w, C]: each window's pixels, row-major, as
     rows of C features, with windows stacked along the first axis."""
-    g = grid
-    return _to_windows(x, g, _TOKENS, (g.num_nodes, g.h_w * g.w_w, g.C))
+    return _to_windows(x, grid, _TOKENS, _tokens_shape(grid))
 
 
 def merge_tokens(tokens: Tensor, grid: WindowGrid) -> Tensor:
     """Exact inverse of :func:`window_tokens`."""
-    g = grid
-    return _from_windows(tokens, g, _TOKENS, (g.num_nodes, g.h_w * g.w_w, g.C), "merge_tokens")
+    return _from_windows(tokens, grid, _TOKENS, _tokens_shape(grid), "merge_tokens")
+
+
+def _token_moves(grid: WindowGrid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The :func:`_regroup_data` arguments of :func:`window_tokens` and of
+    :func:`merge_tokens`, for ops that regroup raw arrays inside one tape op."""
+    split = _split(grid)
+    return (split, _TOKENS, _tokens_shape(grid)), (*_undo(split, _TOKENS), (grid.C, grid.H, grid.W))
 
 
 def flatten_nodes(windows: Tensor) -> Tensor:

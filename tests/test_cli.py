@@ -203,6 +203,20 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "e")] + FAST) == 0
         assert (tmp_path / "e" / "metrics.csv").exists()
 
+    def test_metrics_rows_are_plain_numbers(self, tmp_path, capsys):
+        # miou's per-class IoUs are numpy floats; their repr is not a number.
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)] + FAST) == 0
+        ckpt = str(out / "checkpoint.wgts")
+        assert main(["eval", "--checkpoint", ckpt, "--out", str(tmp_path / "e")] + FAST) == 0
+        for path in (out / "metrics.csv", tmp_path / "e" / "metrics.csv"):
+            header, *rows = path.read_text(encoding="ascii").splitlines()
+            assert header == "class_id,iou" and len(rows) == 2
+            for class_id, row in enumerate(rows):
+                cid, iou = row.split(",")
+                assert int(cid) == class_id
+                assert 0.0 <= float(iou) <= 1.0 or math.isnan(float(iou))
+
     def test_predicts_each_eval_image_once(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "run"
         assert main(["train", "--out", str(out)] + FAST) == 0
