@@ -32,9 +32,10 @@ added in the order the tape would add them: an attention block's tokens
 as (q + k) + v, its input as g + the regrouped tokens' gradient; a
 softmax round's nodes as (propagation + relation a-slot) + transposed
 slot, a cosine round's as propagation + cosine.  ``conv2d`` leans on the
-same slice equality: a k x k kernel takes one stacked product per kernel
-row (k calls, not k*k), and the per-offset products are still summed one
-at a time in ascending (i, j) order.
+same slice equality: a k x k kernel takes one stacked product of all k*k
+offsets on small maps and one per kernel row on wide ones (the size rule is
+``_CONV_ONE_STACK_FLOATS``), and the per-offset products are still summed
+in ascending (i, j) order from a zero start.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ import numpy as np
 # GELU tanh-approximation constants: sqrt(2/pi) and the cubic coefficient.
 _GELU_C0 = 0.7978845608028654
 _GELU_C1 = 0.044715
+
+# conv2d's size rule, in floats per running sum (see its docstring).  In a
+# sweep of k = 3, 5, 7 one stack of all k*k offsets was faster than per-row
+# stacks up to 588 floats and slower from 968 up.
+_CONV_ONE_STACK_FLOATS = 512
 
 
 class Tensor:
@@ -274,8 +280,18 @@ def stack(tensors: list[Tensor]) -> Tensor:
 
 def _mask_data(a: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """``a`` where ``kept`` is True, exactly 0 elsewhere: ``apply_mask``'s
-    forward and, on the gradient, its backward."""
-    return np.where(kept, a, 0.0)
+    forward and, on the gradient, its backward.
+
+    The bytes of ``np.where(kept, a, 0.0)``, signed zeros, infinities and
+    NaNs included, as a bitwise AND of each float's bits with an all-ones
+    (kept) or all-zeros word.  Unlike ``np.where`` it takes no branch per
+    entry, so a mask that keeps a scattered 65% costs no more than one that
+    keeps everything.
+    """
+    bits = kept.astype(np.int64)
+    np.negative(bits, out=bits)
+    bits &= a.view(np.int64)
+    return bits.view(np.float64)
 
 
 def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
@@ -296,17 +312,28 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     ``x`` is [C_in, H, W]; ``w`` is [C_out, C_in, k, k] with odd ``k``.
     The k=1 case is a single channel-mixing matmul per pixel.
 
-    For k > 1 each kernel row i takes one stacked ``np.matmul``: the row's
-    k [C_out, C_in] offset weights against the k shifted copies of the
-    zero-padded input, [k, C_in, H*W].  The products are added into a
-    zero-initialised output in ascending (i, j) order.  Backward takes one
-    stacked product per row for the k dW slices and one for the k dX
-    pieces, and scatter-adds the pieces in the same order.  Each slice is
-    the rank-2 product a per-offset loop takes, so output and gradients are
-    byte-identical to that loop.  Rows rather than all k*k offsets keep each
-    stack under glibc's 128 KiB mmap threshold at medium scale: 112 KiB at
-    [2, 32, 32], where 49 offsets would take 784 KiB, which glibc may map
-    afresh, page faults and all, on each call.
+    For k > 1 the k*k offsets' [C_out, C_in] weights meet shifted copies of
+    the zero-padded input, [C_in, H*W] each, in stacked ``np.matmul`` calls,
+    and the products are summed in ascending (i, j) order from zero.  Each
+    slice is the rank-2 product a per-offset loop takes, so output and
+    gradients are byte-identical to that loop.  The offsets are grouped by
+    size:
+
+    - Small maps, where both running sums (the C_out*H*W output and the
+      C_in*(H+k-1)*(W+k-1) padded input gradient) cover at most
+      ``_CONV_ONE_STACK_FLOATS`` floats: one product of all k*k offsets
+      forward, and one each for dW and the dX pieces backward.  The pieces
+      go into their padded windows of one zeroed [k*k, ...] stack through a
+      strided view, and each stack is summed by one ``np.add.accumulate``
+      (``_running_sum``): 3 matmul calls instead of 21 at k = 7, and no
+      per-offset Python loop.
+    - Wider maps: one stacked product per kernel row (k calls forward, 2k
+      backward), whose products are added one at a time into zero-filled
+      buffers.  ``accumulate`` along a leading axis runs its inner loop
+      across that axis, which is slow on wide rows: 560 us on 49 rows of
+      2048 floats, against 76 us for 49 in-place adds.  A row's stack also
+      stays under glibc's 128 KiB mmap threshold at medium scale: 112 KiB
+      at [2, 32, 32], where 49 offsets would take 784 KiB.
     """
     if x.ndim != 3 or w.ndim != 4:
         raise ValueError(f"conv2d: need [C,H,W] input and [O,C,k,k] weights, got {list(x.shape)} and {list(w.shape)}")
@@ -339,35 +366,72 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     # ws[i, j] that offset's [C_out, C_in] weights.
     shifted = np.lib.stride_tricks.sliding_window_view(xp, (h, wdt), axis=(1, 2))
     ws = wd.transpose(2, 3, 0, 1)
+    # One group of all k*k offsets on small maps, one group per kernel row
+    # on wide ones; offset n = i * k + j within the flattened stacks.
+    one_stack = max(c_out * hw, xp.size) <= _CONV_ONE_STACK_FLOATS
+    every_row = slice(None)
+    groups = [every_row] if one_stack else [slice(i, i + 1) for i in range(k)]
 
-    def row_patches(i):
-        """Kernel row i's k shifted inputs as one [k, C_in, HW] stack.
+    def patches(rows):
+        """The shifted inputs of kernel rows ``rows`` as one [n, C_in, HW] stack.
 
         ``reshape`` copies into a contiguous stack exactly when reshaping one
         offset's [C_in, H, W] slice copies (always, unless H or W is 1), so
         every patch has the strides, and numpy picks the matmul kernel,
         that the offset's own rank-2 product would get.
         """
-        return shifted[:, i].transpose(1, 0, 2, 3).reshape(k, c_in, hw)
+        return shifted[:, rows].transpose(1, 2, 0, 3, 4).reshape(-1, c_in, hw)
 
-    out = np.zeros((c_out, h, wdt))
-    for i in range(k):
-        products = np.matmul(ws[i], row_patches(i)).reshape(k, c_out, h, wdt)
-        for j in range(k):
-            out += products[j]
+    def weights(rows):
+        """Those rows' [n, C_out, C_in] offset weights: a view (offsets are
+        adjacent in ``wd``), so each slice keeps ``wd[:, :, i, j]``'s strides."""
+        return ws[rows].reshape(-1, c_out, c_in)
+
+    if one_stack:
+        out = _running_sum(np.matmul(weights(every_row), patches(every_row))).reshape(c_out, h, wdt)
+    else:
+        out = np.zeros((c_out, h, wdt))
+        for rows in groups:
+            for product in np.matmul(weights(rows), patches(rows)).reshape(k, c_out, h, wdt):
+                out += product
 
     def _bw(g):
         g2 = g.reshape(c_out, hw)
-        dxp = np.zeros_like(xp)
         dw = np.empty_like(wd)
-        for i in range(k):
-            dw[:, :, i] = np.matmul(g2, row_patches(i).transpose(0, 2, 1)).transpose(1, 2, 0)
-            pieces = np.matmul(ws[i].transpose(0, 2, 1), g2).reshape(k, c_in, h, wdt)
-            for j in range(k):
-                dxp[:, i:i + h, j:j + wdt] += pieces[j]
+        for rows in groups:
+            dw[:, :, rows] = np.matmul(g2, patches(rows).transpose(0, 2, 1)).reshape(
+                -1, k, c_out, c_in).transpose(2, 3, 0, 1)
+        if one_stack:
+            # Slot n of a zeroed [k*k, C_in, H+k-1, W+k-1] stack takes offset
+            # n's piece in its padded window, all k*k in one strided copy.
+            pieces = np.matmul(weights(every_row).transpose(0, 2, 1), g2).reshape(k, k, c_in, h, wdt)
+            slots = np.zeros((k * k, *xp.shape))
+            s0, sc, sh, sw = slots.strides
+            np.lib.stride_tricks.as_strided(slots, pieces.shape, (k * s0 + sh, s0 + sw, sc, sh, sw))[...] = pieces
+            dxp = _running_sum(slots)
+        else:
+            dxp = np.zeros_like(xp)
+            for i, rows in enumerate(groups):
+                pieces = np.matmul(weights(rows).transpose(0, 2, 1), g2).reshape(k, c_in, h, wdt)
+                for j in range(k):
+                    dxp[:, i:i + h, j:j + wdt] += pieces[j]
         return (dxp[:, pad:pad + h, pad:pad + wdt], dw)
 
     return _op(out, (x, w), _bw)
+
+
+def _running_sum(stack: np.ndarray) -> np.ndarray:
+    """``0.0 + stack[0] + stack[1] + ...`` in ascending order, as a new array.
+
+    Works in place on ``stack``, which the caller gives up.  ``accumulate``
+    adds strictly in ascending order, and the ``+ 0.0`` seed makes the sum
+    the zero-initialised loop's, signed zeros included: the running sum is
+    then never -0.0, so zero slots (the padding of a scattered stack) leave
+    it unchanged.  The result is copied out so the stack can be freed.
+    """
+    stack[0] += 0.0
+    np.add.accumulate(stack, axis=0, out=stack)
+    return stack[-1].copy()
 
 
 def _softmax_data(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -10,6 +10,7 @@ move the same way in reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -59,6 +60,7 @@ _BLOCKS = (1, 3, 0, 2, 4)  # (M, N, C, h_w, w_w): channel-major blocks
 _TOKENS = (1, 3, 2, 4, 0)  # (M, N, h_w, w_w, C): pixels as rows of C features
 
 
+@cache
 def _undo(split: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The split and axis order that undo reordering ``split`` by ``axes``."""
     return tuple(split[a] for a in axes), tuple(axes.index(a) for a in range(len(axes)))
@@ -142,6 +144,7 @@ def merge_tokens(tokens: Tensor, grid: WindowGrid) -> Tensor:
     return _from_windows(tokens, grid, _TOKENS, _tokens_shape(grid), "merge_tokens")
 
 
+@cache
 def _token_moves(grid: WindowGrid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The :func:`_regroup_data` arguments of :func:`window_tokens` and of
     :func:`merge_tokens`, for ops that regroup raw arrays inside one tape op."""

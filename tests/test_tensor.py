@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wingraph.tensor import (
     Parameter,
     Tensor,
+    _mask_data,
     add,
     apply_mask,
     backward,
@@ -187,6 +189,15 @@ class TestConv2d:
     @settings(max_examples=150, deadline=None)
     @given(k=st.sampled_from((1, 3, 5, 7)), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
            h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    # The boundary gate's 7x7 conv at the toy (one stack) and medium (per-row) scales.
+    @example(k=7, c_in=1, c_out=1, h=8, w=8, seed=0)
+    @example(k=7, c_in=2, c_out=2, h=32, w=32, seed=1)
+    # Either side of the one-stack size rule (512 floats): the padded input
+    # gradient's slab decides the k=3 pair, the output's the k=7 pair.
+    @example(k=3, c_in=2, c_out=2, h=14, w=14, seed=2)
+    @example(k=3, c_in=2, c_out=2, h=14, w=15, seed=3)
+    @example(k=7, c_in=1, c_out=2, h=16, w=16, seed=4)
+    @example(k=7, c_in=1, c_out=2, h=16, w=17, seed=5)
     def test_equals_per_offset_loop_byte_for_byte(self, k, c_in, c_out, h, w, seed):
         # H or W below k puts some kernel rows or columns wholly in the padding.
         rng = np.random.default_rng(seed)
@@ -336,6 +347,15 @@ class TestApplyMask:
         assert np.array_equal(out.data, [[1.5, 0.0], [0.0, 3.0]])
         backward(sum_all(out))
         assert np.array_equal(x.grad, mask.astype(float))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_select_equals_where_byte_for_byte(self, data):
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
+        specials = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan))
+        a = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(specials, st.floats())))
+        kept = data.draw(hnp.arrays(np.bool_, shape))
+        assert _mask_data(a, kept).tobytes() == np.where(kept, a, 0.0).tobytes()
 
 
 class TestCrossEntropy:
