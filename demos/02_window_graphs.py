@@ -17,7 +17,7 @@ from wingraph.graph import (
     sparsify,
 )
 from wingraph.tensor import Tensor
-from wingraph.windows import WindowGrid, flatten_nodes, merge, partition
+from wingraph.windows import WindowGrid, merge, partition, window_nodes
 
 rng = np.random.default_rng(7)
 
@@ -29,7 +29,7 @@ print(f"{grid.M}x{grid.N} windows of {grid.h_w}x{grid.w_w} pixels -> {grid.num_n
 assert np.array_equal(merge(windows, grid).data, x.data)
 print("merge(partition(x)) == x  (exact round trip)")
 
-nodes = flatten_nodes(windows)
+nodes = window_nodes(x, grid)
 print("node matrix:", nodes.shape)
 
 cos = relation_cosine(nodes)

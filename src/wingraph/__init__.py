@@ -48,6 +48,6 @@ from .tensor import (
     sum_all,
 )
 from .train import TrainingDiverged, TrainingReport, train
-from .windows import WindowGrid, flatten_nodes, merge, partition, unflatten_nodes
+from .windows import WindowGrid, merge, partition
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .relation import (
     graph_transformer_block,
     local_relation,
 )
-from .windows import WindowGrid, flatten_nodes, merge, partition, unflatten_nodes
+from .windows import WindowGrid, merge_nodes, window_nodes
 
 TOLERANCE = 1e-4
 STEP = 1e-5
@@ -133,8 +133,7 @@ def _cross_entropy(name, rng):
 
 def _window_roundtrip(x):
     grid = WindowGrid(3, 6, 6, 2, 3)
-    nodes = flatten_nodes(partition(x, grid))
-    return merge(unflatten_nodes(nodes, (3, grid.h_w, grid.w_w)), grid)
+    return merge_nodes(window_nodes(x, grid), grid)
 
 
 def _pruned_update(nodes):

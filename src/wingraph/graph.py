@@ -83,7 +83,7 @@ class RelationMatrix:
         return int(self.mask.sum())
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphConfig:
     """Relation variant and threshold policy for :func:`run_graph`."""
 
@@ -265,8 +265,6 @@ def _graph_round(x: Tensor, w: Tensor, cfg: GraphConfig) -> Tensor:
     propagation + cosine for cosine.
     """
     variant = cfg.variant
-    if variant not in _VARIANTS:
-        raise ValueError(f"relation: unknown variant {variant!r}")
     _check_nodes(x, f"relation_{variant}")
     xd, wd = x.data, w.data
     if variant == VARIANT_SOFTMAX:

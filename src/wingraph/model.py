@@ -34,7 +34,7 @@ from .tensor import (
     _softmax_grad,
     conv2d,
 )
-from .windows import WindowGrid, _check_map, _check_windows, _regroup_data, _token_moves
+from .windows import WindowGrid, _check_map, _layout_moves, _regroup_data
 
 
 class ConfigError(ValueError):
@@ -143,7 +143,7 @@ class WindowAttention:
 
     def forward(self, x: Tensor, grid: WindowGrid) -> Tensor:
         _check_map(x, grid)
-        to_tokens, from_tokens = _token_moves(grid)
+        to_tokens, from_tokens = _layout_moves(grid, "tokens")
         wq, wk, wv = self.wq.data, self.wk.data, self.wv.data
         scale = self.c ** -0.5
         # Every array the chain held as a Tensor is contiguous, as
@@ -158,7 +158,6 @@ class WindowAttention:
         att *= scale
         _softmax_data(att, out=att)
         mixed = _matmul_data(att, v)
-        _check_windows(mixed.shape, to_tokens[2], "merge_tokens")
 
         def _bw(g):
             d_att, dv = _matmul_grads(att, v, _regroup_data(g, *to_tokens))

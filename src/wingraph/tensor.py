@@ -349,15 +349,13 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
     xd, wd = x.data, w.data
 
     if k == 1:
-        out = np.matmul(wd[:, :, 0, 0], xd.reshape(c_in, h * wdt)).reshape(c_out, h, wdt)
+        w2, x2 = wd[:, :, 0, 0], xd.reshape(c_in, h * wdt)
 
         def _bw(g):
-            g2 = g.reshape(c_out, h * wdt)
-            dx = np.matmul(wd[:, :, 0, 0].T, g2).reshape(c_in, h, wdt)
-            dw = np.matmul(g2, xd.reshape(c_in, h * wdt).T).reshape(c_out, c_in, 1, 1)
-            return (dx, dw)
+            dw, dx = _matmul_grads(w2, x2, g.reshape(c_out, h * wdt))
+            return dx.reshape(c_in, h, wdt), dw.reshape(c_out, c_in, 1, 1)
 
-        return _op(out, (x, w), _bw)
+        return _op(_matmul_data(w2, x2).reshape(c_out, h, wdt), (x, w), _bw)
 
     hw = h * wdt
     xp = np.zeros((c_in, h + 2 * pad, wdt + 2 * pad))

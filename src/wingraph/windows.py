@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .tensor import Tensor, _op, reshape
+from .tensor import Tensor, _op
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,29 @@ def _check_map(x: Tensor, grid: WindowGrid) -> None:
         raise ValueError(f"window grid expects [{grid.C},{grid.H},{grid.W}], got {list(x.shape)}")
 
 
-# A map seen as its windows has axes (C, M, h_w, N, w_w); each window layout
-# is one order of those axes, with the window (M, N) axes leading.
-_BLOCKS = (1, 3, 0, 2, 4)  # (M, N, C, h_w, w_w): channel-major blocks
-_TOKENS = (1, 3, 2, 4, 0)  # (M, N, h_w, w_w, C): pixels as rows of C features
+# A map seen as its windows has axes (C, M, h_w, N, w_w).  Each layout is one
+# order of those axes, with the window (M, N) axes leading, and one shape.
+_LAYOUTS = {
+    # [K, C, h_w, w_w]: channel-major window blocks
+    "blocks": ((1, 3, 0, 2, 4), lambda g: (g.num_nodes, g.C, g.h_w, g.w_w)),
+    # [K, C*h_w*w_w]: each window one graph node
+    "nodes": ((1, 3, 0, 2, 4), lambda g: (g.num_nodes, g.C * g.h_w * g.w_w)),
+    # [K, h_w*w_w, C]: each window's pixels as rows of C features
+    "tokens": ((1, 3, 2, 4, 0), lambda g: (g.num_nodes, g.h_w * g.w_w, g.C)),
+}
+
+_Moves = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @cache
-def _undo(split: tuple[int, ...], axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The split and axis order that undo reordering ``split`` by ``axes``."""
-    return tuple(split[a] for a in axes), tuple(axes.index(a) for a in range(len(axes)))
+def _layout_moves(grid: WindowGrid, layout: str) -> tuple[_Moves, _Moves]:
+    """The :func:`_regroup_data` arguments that take a [C, H, W] map to
+    ``layout`` and the ones that take it back."""
+    axes, shape = _LAYOUTS[layout]
+    split = (grid.C, grid.M, grid.h_w, grid.N, grid.w_w)
+    back = (tuple(split[a] for a in axes), tuple(axes.index(a) for a in range(len(axes))),
+            (grid.C, grid.H, grid.W))
+    return (split, axes, shape(grid)), back
 
 
 def _regroup_data(a: np.ndarray, split: tuple[int, ...], axes: tuple[int, ...],
@@ -73,98 +86,49 @@ def _regroup_data(a: np.ndarray, split: tuple[int, ...], axes: tuple[int, ...],
     return a.reshape(split).transpose(axes).reshape(out)
 
 
-def _regroup(x: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
-             out: tuple[int, ...]) -> Tensor:
-    """:func:`_regroup_data` as one tape op, whose backward runs the inverse
-    regrouping on the gradient."""
-    moved, inverse = _undo(split, axes)
-    shape = x.shape
-    return _op(_regroup_data(x.data, split, axes, out), (x,),
-               lambda g: (_regroup_data(g, moved, inverse, shape),))
-
-
-def _split(g: WindowGrid) -> tuple[int, ...]:
-    return (g.C, g.M, g.h_w, g.N, g.w_w)
-
-
-def _to_windows(x: Tensor, grid: WindowGrid, axes: tuple[int, ...],
-                out: tuple[int, ...]) -> Tensor:
+def _to_layout(x: Tensor, grid: WindowGrid, layout: str) -> Tensor:
+    """A [C, H, W] map in ``layout``, as one tape op whose backward moves the
+    gradient back."""
     _check_map(x, grid)
-    return _regroup(x, _split(grid), axes, out)
+    there, back = _layout_moves(grid, layout)
+    return _op(_regroup_data(x.data, *there), (x,), lambda g: (_regroup_data(g, *back),))
 
 
-def _check_windows(shape: tuple[int, ...], expected: tuple[int, ...], name: str) -> None:
-    if shape != expected:
-        raise ValueError(f"{name} expects {list(expected)}, got {list(shape)}")
-
-
-def _from_windows(w: Tensor, grid: WindowGrid, axes: tuple[int, ...],
-                  expected: tuple[int, ...], name: str) -> Tensor:
-    _check_windows(w.shape, expected, name)
-    return _regroup(w, *_undo(_split(grid), axes), (grid.C, grid.H, grid.W))
+def _from_layout(w: Tensor, grid: WindowGrid, layout: str, name: str) -> Tensor:
+    """Exact inverse of :func:`_to_layout`; ``name`` labels a shape error."""
+    there, back = _layout_moves(grid, layout)
+    if w.shape != there[2]:
+        raise ValueError(f"{name} expects {list(there[2])}, got {list(w.shape)}")
+    return _op(_regroup_data(w.data, *back), (w,), lambda g: (_regroup_data(g, *there),))
 
 
 def partition(x: Tensor, grid: WindowGrid) -> Tensor:
     """Split [C, H, W] into [K, C, h_w, w_w] window blocks, K = M * N."""
-    g = grid
-    return _to_windows(x, g, _BLOCKS, (g.num_nodes, g.C, g.h_w, g.w_w))
+    return _to_layout(x, grid, "blocks")
 
 
 def merge(windows: Tensor, grid: WindowGrid) -> Tensor:
     """Exact inverse of :func:`partition`."""
-    g = grid
-    return _from_windows(windows, g, _BLOCKS, (g.num_nodes, g.C, g.h_w, g.w_w), "merge")
+    return _from_layout(windows, grid, "blocks", "merge")
 
 
 def window_nodes(x: Tensor, grid: WindowGrid) -> Tensor:
-    """[C, H, W] -> [K, C * h_w * w_w]: ``flatten_nodes(partition(x, grid))``
-    as one op, each window one graph node."""
-    g = grid
-    return _to_windows(x, g, _BLOCKS, (g.num_nodes, g.C * g.h_w * g.w_w))
+    """[C, H, W] -> [K, C * h_w * w_w]: each window's block, flattened
+    row-major, as one graph node."""
+    return _to_layout(x, grid, "nodes")
 
 
 def merge_nodes(nodes: Tensor, grid: WindowGrid) -> Tensor:
     """Exact inverse of :func:`window_nodes`."""
-    g = grid
-    return _from_windows(nodes, g, _BLOCKS, (g.num_nodes, g.C * g.h_w * g.w_w), "merge_nodes")
-
-
-def _tokens_shape(g: WindowGrid) -> tuple[int, int, int]:
-    return (g.num_nodes, g.h_w * g.w_w, g.C)
+    return _from_layout(nodes, grid, "nodes", "merge_nodes")
 
 
 def window_tokens(x: Tensor, grid: WindowGrid) -> Tensor:
     """[C, H, W] -> [K, h_w * w_w, C]: each window's pixels, row-major, as
     rows of C features, with windows stacked along the first axis."""
-    return _to_windows(x, grid, _TOKENS, _tokens_shape(grid))
+    return _to_layout(x, grid, "tokens")
 
 
 def merge_tokens(tokens: Tensor, grid: WindowGrid) -> Tensor:
     """Exact inverse of :func:`window_tokens`."""
-    return _from_windows(tokens, grid, _TOKENS, _tokens_shape(grid), "merge_tokens")
-
-
-@cache
-def _token_moves(grid: WindowGrid) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The :func:`_regroup_data` arguments of :func:`window_tokens` and of
-    :func:`merge_tokens`, for ops that regroup raw arrays inside one tape op."""
-    split = _split(grid)
-    return (split, _TOKENS, _tokens_shape(grid)), (*_undo(split, _TOKENS), (grid.C, grid.H, grid.W))
-
-
-def flatten_nodes(windows: Tensor) -> Tensor:
-    """Row-major flatten of each window block: [K, C, h, w] -> [K, C*h*w]."""
-    if windows.ndim != 4:
-        raise ValueError(f"flatten_nodes expects rank-4 windows, got {list(windows.shape)}")
-    k, c, h, w = windows.shape
-    return reshape(windows, (k, c * h * w))
-
-
-def unflatten_nodes(nodes: Tensor, block_shape: tuple[int, int, int]) -> Tensor:
-    """Inverse of :func:`flatten_nodes` given the original [C, h, w] extents."""
-    if nodes.ndim != 2:
-        raise ValueError(f"unflatten_nodes expects rank-2 nodes, got {list(nodes.shape)}")
-    c, h, w = block_shape
-    if nodes.shape[1] != c * h * w:
-        raise ValueError(f"unflatten_nodes: row length {nodes.shape[1]} != {c}*{h}*{w}")
-    return reshape(nodes, (nodes.shape[0], c, h, w))
+    return _from_layout(tokens, grid, "tokens", "merge_tokens")

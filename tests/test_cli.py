@@ -4,9 +4,11 @@ import collections
 import dataclasses
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,7 +369,8 @@ def test_untrusted_input_exits_two_without_traceback(case, tmp_path, capsys):
 
 class TestSubprocessEntry:
     def test_module_invocation(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-m", "wingraph", "gradcheck", "graph"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("op,max_rel_err,samples")

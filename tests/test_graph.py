@@ -1,5 +1,6 @@
 """Graph relation construction, pruning, propagation and their invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -276,6 +277,19 @@ class TestRunGraph:
     def test_empty_layer_list_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
             run_graph(Tensor(np.zeros((2, 2))), [], GraphConfig())
+
+
+class TestGraphConfig:
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            GraphConfig(variant="bogus")
+
+    def test_built_config_is_frozen(self):
+        # The unknown-variant check runs once, at construction, so a built
+        # config must not be able to take another variant.
+        cfg = GraphConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.variant = "bogus"
 
 
 class TestSparseDensePaths:

@@ -17,12 +17,8 @@ from wingraph.relation import (
 from wingraph.tensor import Tensor, add, backward, conv2d, hadamard, reshape, sum_all, transpose
 from wingraph.windows import (
     WindowGrid,
-    flatten_nodes,
-    merge,
     merge_nodes,
     merge_tokens,
-    partition,
-    unflatten_nodes,
     window_nodes,
     window_tokens,
 )
@@ -62,12 +58,12 @@ class TestGlobalRelation:
 
         squeezed = conv2d(x, gr.squeeze)
         sub = WindowGrid(2, 4, 4, 2, 2)
-        nodes = flatten_nodes(partition(squeezed, sub))
+        nodes = window_nodes(squeezed, sub)
         rel = relation_softmax(nodes)
         rel = sparsify(rel, make_theta(rel.values, cfg.theta_coefficient))
         nodes = node_update(rel, nodes)
         nodes = Tensor(np.matmul(nodes.data, gr.graph[0].data))
-        restored = merge(unflatten_nodes(nodes, (2, 2, 2)), sub)
+        restored = merge_nodes(nodes, sub)
         hand = x.data + conv2d(restored, gr.unsqueeze).data
         assert np.array_equal(out.data, hand)
 
