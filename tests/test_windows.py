@@ -95,6 +95,24 @@ class TestPartition:
         assert np.array_equal(direct, after)
 
 
+class TestWindowNodes:
+    def test_singleton(self):
+        out = window_nodes(Tensor(np.full((1, 1, 1), 5.0)), WindowGrid(1, 1, 1, 1, 1))
+        assert np.array_equal(out.data, [[5.0]])
+
+    def test_row_is_row_major_flattening(self):
+        # window 1 is the top-right 2x2 block of both channels
+        x = Tensor(np.arange(16.0).reshape(2, 2, 4))
+        nodes = window_nodes(x, WindowGrid(2, 2, 4, 1, 2))
+        assert nodes.shape == (2, 8)
+        assert np.array_equal(nodes.data[1], [2.0, 3.0, 6.0, 7.0, 10.0, 11.0, 14.0, 15.0])
+
+    def test_merge_nodes_of_zero_nodes_is_zero(self):
+        g = WindowGrid(3, 4, 4, 2, 2)
+        out = merge_nodes(Tensor(np.zeros((4, 12))), g)
+        assert np.array_equal(out.data, np.zeros((3, 4, 4)))
+
+
 class TestWindowTokens:
     def test_token_is_one_pixel_of_one_window(self):
         g = WindowGrid(3, 4, 6, 2, 3)
