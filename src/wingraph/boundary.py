@@ -6,6 +6,12 @@ normalised by a sigmoid.  The result is a per-entry coefficient in (0, 1)
 used to reweigh the input features, strengthening pixels that matter for
 the classification near object edges and damping the rest.  No extra
 annotation is involved anywhere.
+
+``ba_coefficients`` and ``ba_apply`` each record one tape op, built on the
+raw helper ``_gate`` (``_conv2d`` -> ``_conv2d`` -> ``_gelu`` -> ``_conv2d``
+-> ``_sigmoid``), and are byte-identical to the op chain of the public ops
+(then ``hadamard``); ``ba_apply``'s input gets its gradient as g * a + the
+gate's part.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, conv2d, gelu, hadamard, sigmoid
+from .tensor import Parameter, Tensor, _conv2d, _gelu, _op, _sigmoid
 
 LOCAL_KERNEL = 7
 
@@ -47,6 +53,25 @@ class BAParams:
         return [self.squeeze, self.local, self.unsqueeze]
 
 
+def _gate(yd: np.ndarray, params: BAParams):
+    """The coefficients of raw ``yd`` and their pullback to (y, squeeze, local, unsqueeze)."""
+    if yd.ndim != 3:
+        raise ValueError(f"ba_coefficients: need [C,H,W] features, got {list(yd.shape)}")
+    h, squeeze_pb = _conv2d(yd, params.squeeze.data)
+    h, local_pb = _conv2d(h, params.local.data)
+    h, gelu_pb = _gelu(h)
+    h, unsqueeze_pb = _conv2d(h, params.unsqueeze.data)
+    a, sigmoid_pb = _sigmoid(h)
+
+    def pullback(g):
+        dh, d_unsqueeze = unsqueeze_pb(*sigmoid_pb(g))
+        dh, d_local = local_pb(*gelu_pb(dh))
+        dy, d_squeeze = squeeze_pb(dh)
+        return dy, d_squeeze, d_local, d_unsqueeze
+
+    return a, pullback
+
+
 def ba_coefficients(y: Tensor, params: BAParams) -> Tensor:
     """Attention coefficients, strictly inside (0, 1), same shape as ``y``.
 
@@ -54,18 +79,20 @@ def ba_coefficients(y: Tensor, params: BAParams) -> Tensor:
     7x7 stage is the only spatial mixing, so a perturbation at one pixel
     can only move coefficients within its 7x7 neighbourhood.
     """
-    if y.ndim != 3:
-        raise ValueError(f"ba_coefficients: need [C,H,W] features, got {list(y.shape)}")
-    h = conv2d(y, params.squeeze)
-    h = conv2d(h, params.local)
-    h = gelu(h)
-    h = conv2d(h, params.unsqueeze)
-    return sigmoid(h)
+    a, pullback = _gate(y.data, params)
+    return _op(a, (y, *params.named_parameters()), pullback)
 
 
 def ba_apply(y: Tensor, params: BAParams) -> Tensor:
     """Reweigh features by their attention coefficients (elementwise)."""
-    return hadamard(y, ba_coefficients(y, params))
+    yd = y.data
+    a, pullback = _gate(yd, params)
+
+    def _bw(g):
+        dy, *d_params = pullback(g * yd)
+        return g * a + dy, *d_params
+
+    return _op(yd * a, (y, *params.named_parameters()), _bw)
 
 
 def ba_param_count(c: int, r_ba: int) -> int:

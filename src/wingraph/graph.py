@@ -122,7 +122,7 @@ def _cosine_grad(nd: np.ndarray, values: np.ndarray, safe: np.ndarray, nonzero: 
                  g: np.ndarray) -> np.ndarray:
     """The nodes' gradient from the cosine values' gradient ``g``."""
     unit = nd / safe[..., None]
-    h = g + np.swapaxes(g, -1, -2)
+    h = g + g.mT
     dn = (np.matmul(h, unit) - (h * values).sum(axis=-1, keepdims=True) * unit) / safe[..., None]
     dn[~nonzero] = 0.0
     return dn
@@ -203,11 +203,11 @@ def node_update_dense_data(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     transposed = 1 < d < k
     cols, rows = values, nodes
     if transposed:
-        cols, rows = (np.ascontiguousarray(np.swapaxes(x, -1, -2)) for x in (nodes, values))
+        cols, rows = (np.ascontiguousarray(x.mT) for x in (nodes, values))
     out = np.zeros(cols.shape[:-1] + rows.shape[-1:])
     for j in range(k):
         out += cols[..., :, j, None] * rows[..., j, None, :]
-    return np.ascontiguousarray(np.swapaxes(out, -1, -2)) if transposed else out
+    return np.ascontiguousarray(out.mT) if transposed else out
 
 
 def node_update_sparse_data(values: np.ndarray, mask: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -253,24 +253,18 @@ def node_update_sparse(rel: RelationMatrix, nodes: np.ndarray) -> np.ndarray:
     return node_update_sparse_data(rel.values.data, rel.mask, nodes)
 
 
-def _graph_round(x: Tensor, w: Tensor, cfg: GraphConfig) -> Tensor:
-    """One relate -> prune -> propagate -> mix round as one tape op.
-
-    The forward and the backward take the steps, raw-array helpers and
-    operand layouts of the op chain ``relation`` -> ``make_theta`` ->
-    ``sparsify`` -> ``node_update`` -> ``matmul``, so output and gradients
-    are byte-identical to that chain.  The nodes feed the round more than
-    once, and their gradient parts are added in the chain's tape order:
-    (propagation + relation a-slot) + transposed slot for softmax, and
-    propagation + cosine for cosine.
+def _graph_round(xd: np.ndarray, wd: np.ndarray, cfg: GraphConfig):
+    """One relate -> prune -> propagate -> mix round on raw arrays: the output and its
+    pullback to (nodes, weight).  It takes the steps, helpers and operand layouts of the
+    op chain ``relation`` -> ``make_theta`` -> ``sparsify`` -> ``node_update`` ->
+    ``matmul``, and adds the nodes' gradient parts in its tape order (module docstring).
     """
     variant = cfg.variant
-    _check_nodes(x, f"relation_{variant}")
-    xd, wd = x.data, w.data
+    _check_nodes(xd, f"relation_{variant}")
     if variant == VARIANT_SOFTMAX:
         # The transposed nodes are a contiguous copy, as the chain's
         # ``transpose`` op made, so the product gets the same BLAS call.
-        xt = np.ascontiguousarray(np.swapaxes(xd, -1, -2))
+        xt = np.ascontiguousarray(xd.mT)
         dots = _matmul_data(xd, xt)
         rel = _softmax_data(dots, out=dots)
     else:
@@ -280,16 +274,16 @@ def _graph_round(x: Tensor, w: Tensor, cfg: GraphConfig) -> Tensor:
     kept = _mask_data(rel, mask)
     prop = node_update_dense_data(kept, xd)
 
-    def _bw(g):
+    def pullback(g):
         d_prop, dw = _matmul_grads(prop, wd, g)
         d_kept, dx = _matmul_grads(kept, xd, d_prop)
         d_rel = _mask_data(d_kept, mask)
         if variant == VARIANT_SOFTMAX:
             dx_a, dx_t = _matmul_grads(xd, xt, _softmax_grad(rel, d_rel))
-            return (dx + dx_a) + np.swapaxes(dx_t, -1, -2), dw
+            return (dx + dx_a) + dx_t.mT, dw
         return dx + _cosine_grad(xd, rel, safe, nonzero, d_rel), dw
 
-    return _op(_matmul_data(prop, wd), (x, w), _bw)
+    return _matmul_data(prop, wd), pullback
 
 
 def run_graph(nodes: Tensor, weights: list[Parameter] | tuple[Parameter, ...],
@@ -305,5 +299,6 @@ def run_graph(nodes: Tensor, weights: list[Parameter] | tuple[Parameter, ...],
     cfg = config or GraphConfig()
     x = nodes
     for w in weights:
-        x = _graph_round(x, w, cfg)
+        out, pullback = _graph_round(x.data, w.data, cfg)
+        x = _op(out, (x, w), pullback)
     return x

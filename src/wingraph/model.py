@@ -152,7 +152,7 @@ class WindowAttention:
         q = _matmul_data(tokens, wq)
         k = _matmul_data(tokens, wk)
         v = _matmul_data(tokens, wv)
-        kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+        kt = np.ascontiguousarray(k.mT)
         # The scores buffer is private, so scaling and softmax work in place.
         att = _matmul_data(q, kt)
         att *= scale
@@ -165,7 +165,7 @@ class WindowAttention:
             d_scores *= scale
             dq, d_kt = _matmul_grads(q, kt, d_scores)
             d_tok_q, dwq = _matmul_grads(tokens, wq, dq)
-            d_tok_k, dwk = _matmul_grads(tokens, wk, np.swapaxes(d_kt, -1, -2))
+            d_tok_k, dwk = _matmul_grads(tokens, wk, d_kt.mT)
             d_tok_v, dwv = _matmul_grads(tokens, wv, dv)
             d_tokens = (d_tok_q + d_tok_k) + d_tok_v
             return g + _regroup_data(d_tokens, *from_tokens), dwq, dwk, dwv

@@ -7,24 +7,27 @@ window of the feature map as a node; the local view treats each pixel
 inside a window as a node and runs one independent graph per window.  The
 channel-restoring convolutions start at zero, so a freshly built block is
 an exact identity.
+
+Each branch records one tape op, ``x + u``; parallel fusion one op,
+``x + (u_gr + u_lr)``.  The raw helper ``_correction`` gives ``u``: squeeze
+1x1 -> regroup -> L rounds -> regroup back -> unsqueeze 1x1, from
+``_conv2d``, ``_regroup_data`` and ``_graph_round``, each regroup made
+contiguous as a ``Tensor`` is, so it is byte-identical to the public op
+chain.  The input gets its gradient as g + the squeeze's part, or under
+parallel fusion (g + the global squeeze's part) + the local one.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .graph import GraphConfig, run_graph
-from .tensor import Parameter, Tensor, add, conv2d
-from .windows import WindowGrid, merge_nodes, merge_tokens, window_nodes, window_tokens
-
-# Each view is the regroup pair that lays the squeezed map out as graph
-# nodes and back: one node per window, or one graph of pixels per window.
-_GLOBAL = (window_nodes, merge_nodes)
-_LOCAL = (window_tokens, merge_tokens)
+from .graph import GraphConfig, _graph_round
+from .tensor import Parameter, Tensor, _conv2d, _op
+from .windows import WindowGrid, _check_map, _layout_moves, _regroup_data
 
 
 class FusionType(enum.Enum):
@@ -58,6 +61,8 @@ class RelationParams:
         ``h_w * w_w`` for the global branch, 1 for the local one."""
         if ratio < 1 or c % ratio != 0:
             raise ValueError(f"{prefix}: compression ratio {ratio} does not divide {c} channels")
+        if depth < 1:
+            raise ValueError(f"{prefix}: at least one graph round required, got depth {depth}")
         c_sq = c // ratio
         squeeze = Parameter(rng.normal(0.0, c ** -0.5, (c_sq, c, 1, 1)), f"{prefix}.squeeze")
         unsqueeze = Parameter(np.zeros((c, c_sq, 1, 1)), f"{prefix}.unsqueeze")
@@ -70,18 +75,55 @@ class RelationParams:
         return [self.squeeze, self.unsqueeze, *self.graph]
 
 
-def _correction(x: Tensor, grid: WindowGrid, params: RelationParams,
-                view: tuple[Callable, Callable], cfg: GraphConfig | None) -> Tensor:
-    to_nodes, from_nodes = view
+def _correction(xd: np.ndarray, grid: WindowGrid, params: RelationParams, layout: str,
+                cfg: GraphConfig | None):
+    """A branch's correction of raw ``xd`` and its pullback to (x, *params.named_parameters());
+    ``layout`` is "nodes" for the global view, "tokens" for the local one."""
+    cfg = cfg or GraphConfig()
     sub = WindowGrid(params.squeeze.shape[0], grid.H, grid.W, grid.M, grid.N)
-    nodes = run_graph(to_nodes(conv2d(x, params.squeeze), sub), params.graph, cfg)
-    return conv2d(from_nodes(nodes, sub), params.unsqueeze)
+    there, back = _layout_moves(sub, layout)
+    squeezed, squeeze_pb = _conv2d(xd, params.squeeze.data)
+    _check_map(squeezed, sub)
+    nodes = np.ascontiguousarray(_regroup_data(squeezed, *there))
+    round_pbs = []
+    for w in params.graph:
+        nodes, round_pb = _graph_round(nodes, w.data, cfg)
+        round_pbs.append(round_pb)
+    u, unsqueeze_pb = _conv2d(np.ascontiguousarray(_regroup_data(nodes, *back)), params.unsqueeze.data)
+
+    def pullback(g):
+        d_merged, d_unsqueeze = unsqueeze_pb(g)
+        d_nodes, d_graph = _regroup_data(d_merged, *there), []
+        for round_pb in reversed(round_pbs):
+            d_nodes, dw = round_pb(d_nodes)
+            d_graph.insert(0, dw)
+        dx, d_squeeze = squeeze_pb(_regroup_data(d_nodes, *back))
+        return dx, d_squeeze, d_unsqueeze, *d_graph
+
+    return u, pullback
+
+
+def _residual(x: Tensor, grid: WindowGrid, branches: list[tuple[RelationParams, str]],
+              cfg: GraphConfig | None) -> Tensor:
+    """``x`` plus the corrections of ``branches``, (params, layout) pairs, as one tape op."""
+    corrections = [_correction(x.data, grid, params, layout, cfg) for params, layout in branches]
+
+    def _bw(g):
+        dx, d_params = g, []
+        for _, pullback in corrections:
+            d_branch, *d_weights = pullback(g)
+            dx = dx + d_branch
+            d_params += d_weights
+        return dx, *d_params
+
+    u = reduce(np.add, (u for u, _ in corrections))
+    return _op(x.data + u, (x, *(p for params, _ in branches for p in params.named_parameters())), _bw)
 
 
 def global_relation(x: Tensor, grid: WindowGrid, params: RelationParams,
                     cfg: GraphConfig | None = None) -> Tensor:
     """Relate windows globally; returns x plus the learned correction."""
-    return add(x, _correction(x, grid, params, _GLOBAL, cfg))
+    return _residual(x, grid, [(params, "nodes")], cfg)
 
 
 def local_relation(x: Tensor, grid: WindowGrid, params: RelationParams,
@@ -91,7 +133,7 @@ def local_relation(x: Tensor, grid: WindowGrid, params: RelationParams,
     Windows never exchange information here: zeroing one window's input
     cannot change any other window's output.
     """
-    return add(x, _correction(x, grid, params, _LOCAL, cfg))
+    return _residual(x, grid, [(params, "tokens")], cfg)
 
 
 def graph_transformer_block(x: Tensor, grid: WindowGrid,
@@ -102,16 +144,14 @@ def graph_transformer_block(x: Tensor, grid: WindowGrid,
     """Fused global + local relation block.
 
     Series fusions chain the residual modules; parallel fusion adds both
-    branch corrections onto the shared input.
+    branch corrections onto the shared input, as one tape op.
     """
     if fusion is FusionType.GR_THEN_LR:
         return local_relation(global_relation(x, grid, gr_params, cfg), grid, lr_params, cfg)
     if fusion is FusionType.LR_THEN_GR:
         return global_relation(local_relation(x, grid, lr_params, cfg), grid, gr_params, cfg)
     if fusion is FusionType.PARALLEL:
-        both = add(_correction(x, grid, gr_params, _GLOBAL, cfg),
-                   _correction(x, grid, lr_params, _LOCAL, cfg))
-        return add(x, both)
+        return _residual(x, grid, [(gr_params, "nodes"), (lr_params, "tokens")], cfg)
     raise ValueError(f"unknown fusion type {fusion!r}")
 
 

@@ -20,22 +20,26 @@ passes (that is how SGD works).
 so many independent windows run as one op; each slice of a stacked result
 is bit-identical to the rank-2 call on that slice.
 
-The forward and backward arithmetic of ``matmul``, ``softmax_rows`` and
-``apply_mask`` lives in raw-array helpers (``_matmul_data``,
-``_matmul_grads``, ``_softmax_data``, ``_softmax_grad``, ``_mask_data``).
-The public ops are thin ``_op`` wrappers over them, and the composite
-ops that record one tape op each (a window attention block in
-``model.py``, a graph round in ``graph.py``) call the same helpers on the
-same operands in the same order, so their bytes equal the op chain's.
-Where one array feeds several steps of such an op, its gradient parts are
-added in the order the tape would add them: an attention block's tokens
-as (q + k) + v, its input as g + the regrouped tokens' gradient; a
-softmax round's nodes as (propagation + relation a-slot) + transposed
-slot, a cosine round's as propagation + cosine.  ``conv2d`` leans on the
-same slice equality: a k x k kernel takes one stacked product of all k*k
-offsets on small maps and one per kernel row on wide ones (the size rule is
-``_CONV_ONE_STACK_FLOATS``), and the per-offset products are still summed
-in ascending (i, j) order from a zero start.
+The arithmetic of ``matmul``, ``softmax_rows`` and ``apply_mask`` lives in
+raw-array helpers (``_matmul_data``, ``_matmul_grads``, ``_softmax_data``,
+``_softmax_grad``, ``_mask_data``); that of ``conv2d``, ``gelu`` and
+``sigmoid`` in ``_conv2d``, ``_gelu`` and ``_sigmoid``, which return the
+output and a pullback from its gradient to the inputs' gradients.  The
+public ops are thin ``_op`` wrappers over them, and the composite ops that
+record one tape op each (an attention block in ``model.py``, a graph round
+in ``graph.py``, a relation branch in ``relation.py``, the boundary gate in
+``boundary.py``) call the same helpers on the same operands in the same
+order, so their bytes equal the op chain's.  Where one array feeds several
+steps of such an op, its gradient parts are added in the tape's order: an
+attention block's tokens as (q + k) + v, its input as g + the regrouped
+tokens' gradient; a softmax round's nodes as (propagation + relation
+a-slot) + transposed slot, a cosine round's as propagation + cosine; a
+parallel-fused block's input as (g + global branch) + local branch.
+
+``conv2d`` leans on the same slice equality: a k x k kernel takes one
+stacked product of all k*k offsets on small maps and one per kernel row on
+wide ones (the size rule is ``_CONV_ONE_STACK_FLOATS``), and the per-offset
+products are still summed in ascending (i, j) order from a zero start.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ class Tensor:
         On an op output this also opts it in: later ``backward`` calls
         accumulate its gradient too.
         """
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -157,7 +161,7 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is None:
             if node.grad is None:
-                node.grad = np.zeros_like(node.data)
+                node.grad = np.zeros(node.data.shape)
             node.grad += g
             continue
         if node.grad is not None:
@@ -211,8 +215,8 @@ def _matmul_data(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
 
 def _matmul_grads(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``matmul``'s backward on raw arrays: the gradients of ``ad`` and ``bd``."""
-    da = np.matmul(g, np.swapaxes(bd, -1, -2))
-    db = np.matmul(np.swapaxes(ad, -1, -2), g)
+    da = np.matmul(g, bd.mT)
+    db = np.matmul(ad.mT, g)
     if db.ndim > bd.ndim:
         # A shared b receives the sum of every slice's contribution, added
         # in ascending slice order as a loop of rank-2 calls would add
@@ -335,18 +339,23 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
       stays under glibc's 128 KiB mmap threshold at medium scale: 112 KiB
       at [2, 32, 32], where 49 offsets would take 784 KiB.
     """
-    if x.ndim != 3 or w.ndim != 4:
-        raise ValueError(f"conv2d: need [C,H,W] input and [O,C,k,k] weights, got {list(x.shape)} and {list(w.shape)}")
-    c_out, c_in, k, kw = w.shape
+    out, pullback = _conv2d(x.data, w.data)
+    return _op(out, (x, w), pullback)
+
+
+def _conv2d(xd: np.ndarray, wd: np.ndarray):
+    """``conv2d`` on raw arrays, shape checks included: the output and its pullback to (dx, dw)."""
+    if xd.ndim != 3 or wd.ndim != 4:
+        raise ValueError(f"conv2d: need [C,H,W] input and [O,C,k,k] weights, got {list(xd.shape)} and {list(wd.shape)}")
+    c_out, c_in, k, kw = wd.shape
     if k != kw:
         raise ValueError(f"conv2d: square kernels only, got {k}x{kw}")
     if k % 2 == 0:
         raise ValueError(f"conv2d: even kernel size {k} rejected, same-size padding needs odd k")
-    if x.shape[0] != c_in:
-        raise ValueError(f"conv2d: channel mismatch, input has {x.shape[0]}, weights expect {c_in}")
-    _, h, wdt = x.shape
+    if xd.shape[0] != c_in:
+        raise ValueError(f"conv2d: channel mismatch, input has {xd.shape[0]}, weights expect {c_in}")
+    _, h, wdt = xd.shape
     pad = (k - 1) // 2
-    xd, wd = x.data, w.data
 
     if k == 1:
         w2, x2 = wd[:, :, 0, 0], xd.reshape(c_in, h * wdt)
@@ -355,7 +364,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
             dw, dx = _matmul_grads(w2, x2, g.reshape(c_out, h * wdt))
             return dx.reshape(c_in, h, wdt), dw.reshape(c_out, c_in, 1, 1)
 
-        return _op(_matmul_data(w2, x2).reshape(c_out, h, wdt), (x, w), _bw)
+        return _matmul_data(w2, x2).reshape(c_out, h, wdt), _bw
 
     hw = h * wdt
     xp = np.zeros((c_in, h + 2 * pad, wdt + 2 * pad))
@@ -415,7 +424,7 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
                     dxp[:, i:i + h, j:j + wdt] += pieces[j]
         return (dxp[:, pad:pad + h, pad:pad + wdt], dw)
 
-    return _op(out, (x, w), _bw)
+    return out, _bw
 
 
 def _running_sum(stack: np.ndarray) -> np.ndarray:
@@ -462,18 +471,31 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _op(s, (a,), lambda g: (_softmax_grad(s, g),))
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU activation, tanh approximation."""
-    xd = x.data
+def _gelu(xd: np.ndarray):
+    """``gelu`` on a raw array: the output and its pullback."""
     u = _GELU_C0 * (xd + _GELU_C1 * xd ** 3)
     t = np.tanh(u)
-    out = 0.5 * xd * (1.0 + t)
 
-    def _bw(g):
+    def pullback(g):
         du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * xd * xd)
         return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
 
-    return _op(out, (x,), _bw)
+    return 0.5 * xd * (1.0 + t), pullback
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU activation, tanh approximation."""
+    out, pullback = _gelu(x.data)
+    return _op(out, (x,), pullback)
+
+
+def _sigmoid(xd: np.ndarray):
+    """``sigmoid`` on a raw array: the output and its pullback."""
+    pos = xd >= 0
+    # exp only ever sees -|x|: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below.
+    e = np.exp(np.where(pos, -xd, xd))
+    out = np.where(pos, 1.0, e) / (1.0 + e)
+    return out, lambda g: (g * out * (1.0 - out),)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -481,12 +503,8 @@ def sigmoid(x: Tensor) -> Tensor:
 
     Output is strictly inside (0, 1) until float64 saturates (|x| > ~36).
     """
-    xd = x.data
-    pos = xd >= 0
-    # exp only ever sees -|x|: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below.
-    e = np.exp(np.where(pos, -xd, xd))
-    out = np.where(pos, 1.0, e) / (1.0 + e)
-    return _op(out, (x,), lambda g: (g * out * (1.0 - out),))
+    out, pullback = _sigmoid(x.data)
+    return _op(out, (x,), pullback)
 
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -1,15 +1,19 @@
-"""Window attention and graph rounds, each one tape op, equal their op chains byte for byte.
+"""Fused tape ops equal their op chains byte for byte.
 
-``WindowAttention.forward`` and each round of ``run_graph`` record a
-single tape op.  The reference here is the chain of public ops that each
-one replaces, built in the test; output, the input's gradient and every
-weight's gradient must have the same bytes, signed zeros included.
+``WindowAttention.forward``, each round of ``run_graph``, each relation
+branch (``global_relation``, ``local_relation``, parallel fusion's two
+branches together) and the boundary gate (``ba_coefficients``,
+``ba_apply``) record a single tape op.  The reference here is the chain
+of public ops that each one replaces, built in the test; output, the
+input's gradient and every weight's gradient must have the same bytes,
+signed zeros included.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wingraph.boundary import BAParams, ba_apply, ba_coefficients
 from wingraph.graph import (
     _VARIANTS,
     GraphConfig,
@@ -20,19 +24,29 @@ from wingraph.graph import (
     sparsify,
 )
 from wingraph.model import WindowAttention
+from wingraph.relation import (
+    FusionType,
+    RelationParams,
+    global_relation,
+    graph_transformer_block,
+    local_relation,
+)
 from wingraph.tensor import (
     Parameter,
     Tensor,
     add,
     backward,
+    conv2d,
+    gelu,
     hadamard,
     matmul,
     scalar_mul,
+    sigmoid,
     softmax_rows,
     sum_all,
     transpose,
 )
-from wingraph.windows import WindowGrid, merge_tokens, window_tokens
+from wingraph.windows import WindowGrid, merge_nodes, merge_tokens, window_nodes, window_tokens
 
 
 def with_signed_zeros(rng, shape):
@@ -135,3 +149,117 @@ def test_graph_rounds_equal_op_chain(graph, variant, coefficient, depth):
     assert node is x
     leaves = [x] + weights
     assert run(lambda: run_graph(x, weights, cfg), leaves, upstream) == run(chain, leaves, upstream)
+
+
+def correction_chain(x: Tensor, grid: WindowGrid, params: RelationParams, view: str,
+                     cfg: GraphConfig) -> Tensor:
+    to_nodes, from_nodes = {"global": (window_nodes, merge_nodes),
+                            "local": (window_tokens, merge_tokens)}[view]
+    sub = WindowGrid(params.squeeze.shape[0], grid.H, grid.W, grid.M, grid.N)
+    nodes = run_graph(to_nodes(conv2d(x, params.squeeze), sub), params.graph, cfg)
+    return conv2d(from_nodes(nodes, sub), params.unsqueeze)
+
+
+def block_chain(x, grid, gr, lr, fusion, cfg):
+    def glob(y):
+        return add(y, correction_chain(y, grid, gr, "global", cfg))
+
+    def loc(y):
+        return add(y, correction_chain(y, grid, lr, "local", cfg))
+
+    if fusion is FusionType.GR_THEN_LR:
+        return loc(glob(x))
+    if fusion is FusionType.LR_THEN_GR:
+        return glob(loc(x))
+    return add(x, add(correction_chain(x, grid, gr, "global", cfg),
+                      correction_chain(x, grid, lr, "local", cfg)))
+
+
+def branch_case(c, r_gr, r_lr, m, n, h_w, w_w, depth, cfg, seed):
+    """A map, its window grid, both branches' parameters and an upstream
+    gradient, every entry with signed zeros."""
+    rng = np.random.default_rng(seed)
+    grid = WindowGrid(c, m * h_w, n * w_w, m, n)
+    gr = RelationParams.create(c, r_gr, h_w * w_w, depth, rng, "gr")
+    lr = RelationParams.create(c, r_lr, 1, depth, rng, "lr")
+    for p in gr.named_parameters() + lr.named_parameters():
+        p.data = with_signed_zeros(rng, p.shape)
+    x = Tensor(with_signed_zeros(rng, (c, grid.H, grid.W)), requires_grad=True)
+    return x, grid, gr, lr, cfg, with_signed_zeros(rng, x.shape)
+
+
+@st.composite
+def branch_cases(draw):
+    c = draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    ratios = [r for r in range(1, c + 1) if c % r == 0]
+    m, n, h_w, w_w = (draw(st.integers(1, 3)) for _ in range(4))
+    # Windows of one pixel make some regroups strided views; a single window
+    # makes the global graph one node.
+    shape = draw(st.sampled_from(["any", "one-pixel windows", "one window"]))
+    if shape == "one-pixel windows":
+        h_w = w_w = 1
+    elif shape == "one window":
+        m = n = 1
+    cfg = GraphConfig(variant=draw(st.sampled_from(_VARIANTS)), theta_coefficient=draw(coefficients))
+    return branch_case(c, draw(st.sampled_from(ratios)), draw(st.sampled_from(ratios)), m, n, h_w, w_w,
+                       draw(st.integers(1, 2)), cfg, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=branch_cases(), view=st.sampled_from(["global", "local"]))
+# Each regroup's result is a strided view in these cases, and the relation
+# or the 1x1 convolution of that view differs from the one of the contiguous
+# copy the chain's Tensor holds: the cosine of one window's pixel tokens, and
+# the local view's map regrouped back from windows of 3x3 pixels.
+@example(case=branch_case(4, 1, 1, 1, 1, 2, 2, 1, GraphConfig(variant="cosine"), 0), view="local")
+@example(case=branch_case(2, 1, 1, 2, 1, 3, 3, 1, GraphConfig(), 0), view="local")
+def test_relation_branch_equals_op_chain(case, view):
+    x, grid, gr, lr, cfg, upstream = case
+    branch, params = (global_relation, gr) if view == "global" else (local_relation, lr)
+    leaves = [x] + params.named_parameters()
+
+    assert branch(x, grid, params, cfg)._parents == tuple(leaves)
+    assert run(lambda: branch(x, grid, params, cfg), leaves, upstream) == \
+        run(lambda: add(x, correction_chain(x, grid, params, view, cfg)), leaves, upstream)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=branch_cases(), fusion=st.sampled_from(list(FusionType)))
+# Parallel fusion adds three gradient parts for x; in another order they
+# round differently here.
+@example(case=branch_case(2, 1, 1, 2, 2, 1, 1, 1, GraphConfig(), 0), fusion=FusionType.PARALLEL)
+def test_graph_transformer_block_equals_op_chain(case, fusion):
+    x, grid, gr, lr, cfg, upstream = case
+    leaves = [x] + gr.named_parameters() + lr.named_parameters()
+
+    out = graph_transformer_block(x, grid, gr, lr, fusion, cfg)
+    first = out if fusion is FusionType.PARALLEL else out._parents[0]  # one op per branch
+    assert first._parents[0] is x
+    assert run(lambda: graph_transformer_block(x, grid, gr, lr, fusion, cfg), leaves, upstream) == \
+        run(lambda: block_chain(x, grid, gr, lr, fusion, cfg), leaves, upstream)
+
+
+def gate_chain(y: Tensor, params: BAParams) -> Tensor:
+    h = gelu(conv2d(conv2d(y, params.squeeze), params.local))
+    return sigmoid(conv2d(h, params.unsqueeze))
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.sampled_from([1, 2, 3, 4, 6]), r=st.sampled_from([1, 2, 3]),
+       h=st.integers(1, 20), w=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
+# A 20x20 map with two squeezed channels: the 7x7 convolution takes its per-row path.
+@example(c=2, r=2, h=20, w=20, seed=0)
+def test_boundary_gate_equals_op_chain(c, r, h, w, seed):
+    rng = np.random.default_rng(seed)
+    params = BAParams.create(c * r, r, rng, "ba")
+    for p in params.named_parameters():
+        p.data = with_signed_zeros(rng, p.shape)
+    y = Tensor(with_signed_zeros(rng, (c * r, h, w)), requires_grad=True)
+    upstream = with_signed_zeros(rng, y.shape)
+    leaves = [y] + params.named_parameters()
+
+    for fused, chain in [(ba_coefficients, gate_chain),
+                         (ba_apply, lambda y, params: hadamard(y, gate_chain(y, params)))]:
+        assert fused(y, params)._parents == tuple(leaves)
+        assert run(lambda: fused(y, params), leaves, upstream) == \
+            run(lambda: chain(y, params), leaves, upstream)

@@ -138,21 +138,23 @@ def tape_ops(out) -> int:
 
 class TestTapeSize:
     # The benchmark's toy and medium training scales: windows are one stack
-    # axis, so the tape does not grow with the window count, and each
-    # attention block and each graph round is one op, whatever the relation.
-    # Per stage: 2 attention blocks, and per graph branch squeeze, regroup,
-    # one round, regroup back, unsqueeze and the residual add; then stem,
-    # the boundary gate's 6 ops, head and loss: 2 * (2 + 2 * 6) + 9 = 37.
+    # axis, so the tape does not grow with the window count, and each module
+    # scope is one op, whatever the relation.  Per stage: 2 attention blocks
+    # and the 2 graph branches; then stem, the boundary gate, head and loss:
+    # 2 * (2 + 2) + 4 = 12.  Parallel fusion records both branches as one
+    # op: 2 * (2 + 1) + 4 = 10.
     @pytest.mark.parametrize("variant", ["softmax", "cosine"])
     @pytest.mark.parametrize("scale", [
         dict(C=16, H=8, W=8, stages=((2, 2, 2), (2, 2, 2))),
         dict(C=32, H=32, W=32, stages=((2, 4, 4), (2, 4, 4))),
     ], ids=["toy", "medium"])
-    def test_training_loss_records_37_ops(self, scale, variant):
-        config = SegmenterConfig(**scale, relation_variant=variant)
+    @pytest.mark.parametrize("fusion,ops", [(FusionType.GR_THEN_LR, 12), (FusionType.PARALLEL, 10)],
+                             ids=["series", "parallel"])
+    def test_training_loss_records_one_op_per_scope(self, scale, variant, fusion, ops):
+        config = SegmenterConfig(**scale, relation_variant=variant, fusion=fusion)
         image, labels = synth_dataset("blobs", 1, config.H, config.W, config.num_classes, 0)[0]
         loss = cross_entropy_logits(build_model(config).forward(image), labels)
-        assert tape_ops(loss) == 37
+        assert tape_ops(loss) == ops
 
 
 class TestTapeFreePredict:
