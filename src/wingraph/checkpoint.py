@@ -44,15 +44,11 @@ class ManifestEntry:
 
 
 def save_checkpoint(model: Segmenter, path) -> None:
-    """Write every model parameter, in registration order."""
-    entries = []
-    blobs = []
-    offset = 0
+    """Write every model parameter, in registration order: the blob is the model's arena."""
+    entries, offset = [], 0
     for name, param in model.parameters().items():
-        raw = np.ascontiguousarray(param.data, dtype="<f8").tobytes()
-        entries.append(ManifestEntry(name, DTYPE_FLOAT64, param.shape, offset, len(raw)))
-        blobs.append(raw)
-        offset += len(raw)
+        entries.append(ManifestEntry(name, DTYPE_FLOAT64, param.shape, offset, 8 * param.data.size))
+        offset += 8 * param.data.size
 
     header = bytearray()
     header += MAGIC
@@ -66,8 +62,7 @@ def save_checkpoint(model: Segmenter, path) -> None:
         header += struct.pack("<QQ", e.offset, e.length)
     with open(path, "wb") as f:
         f.write(bytes(header))
-        for raw in blobs:
-            f.write(raw)
+        f.write(model.arena.astype("<f8", copy=False).tobytes())
 
 
 def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
@@ -145,7 +140,7 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
         missing = sorted(set(model_names) - set(file_names))
         extra = sorted(set(file_names) - set(model_names))
         raise CheckpointError(f"manifest mismatch: missing {missing}, unexpected {extra}")
-    loaded = {}
+    values = []
     for e in entries:
         if params[e.name].shape != e.shape:
             raise CheckpointError(f"manifest mismatch: {e.name!r} has shape {list(e.shape)}, "
@@ -153,7 +148,6 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
         arr = np.frombuffer(blob, dtype="<f8", count=e.length // 8, offset=e.offset)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"entry {e.name!r} holds a NaN or an infinity")
-        loaded[e.name] = arr.reshape(e.shape).astype(np.float64)
-    for name, arr in loaded.items():
-        params[name].data = np.ascontiguousarray(arr)
+        values.append(arr)
+    np.concatenate(values, out=model.arena)
     return model

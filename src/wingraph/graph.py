@@ -165,8 +165,9 @@ def make_theta(values, coefficient: float = 0.25) -> float | np.ndarray:
     matrix, returned as a [B] array.  c = 1/4 is the default; it is the
     best-performing multiple in the threshold sweep this policy mirrors.
     """
-    data = values.data if isinstance(values, Tensor) else np.asarray(values)
-    theta = float(coefficient) * data.mean(axis=(-2, -1))
+    data = values.data if isinstance(values, Tensor) else np.asarray(values, dtype=np.float64)
+    # np.mean's own sum and division, without its Python wrapper.
+    theta = float(coefficient) * (np.add.reduce(data, axis=(-2, -1)) / (data.shape[-2] * data.shape[-1]))
     return float(theta) if data.ndim == 2 else theta
 
 
@@ -174,7 +175,7 @@ def _above(values: np.ndarray, theta: float | np.ndarray) -> tuple[float | np.nd
     """``theta`` as :func:`sparsify` stores it, and the mask of the entries
     strictly above it."""
     theta = float(theta) if values.ndim == 2 else np.asarray(theta, dtype=np.float64)
-    return theta, values > np.expand_dims(theta, (-2, -1))
+    return theta, values > (theta if values.ndim == 2 else theta[..., None, None])
 
 
 def sparsify(rel: RelationMatrix, theta: float | np.ndarray) -> RelationMatrix:

@@ -185,7 +185,11 @@ class _Stage:
 
 
 class Segmenter:
-    """The assembled model; build via :func:`build_model`."""
+    """The assembled model; build via :func:`build_model`.
+
+    Its parameters' values and gradients are views into two flat float64
+    arenas, ``arena`` and ``grad_arena``, in ``parameters()`` order.
+    """
 
     def __init__(self, config: SegmenterConfig):
         config.validate()
@@ -213,6 +217,10 @@ class Segmenter:
             if p.name in self._params:
                 raise ConfigError(f"duplicate parameter name {p.name!r}")
             self._params[p.name] = p
+        ends = np.cumsum([p.data.size for p in self._params.values()])
+        self.arena, self.grad_arena = np.zeros(ends[-1]), np.zeros(ends[-1])
+        for p, start, stop in zip(self._params.values(), (0, *ends), ends):
+            p._own(self.arena[start:stop], self.grad_arena[start:stop])
 
     def _collect_parameters(self) -> list[Parameter]:
         params = [self.stem]
@@ -220,9 +228,7 @@ class Segmenter:
             for block in stage.attention:
                 params.extend(block.named_parameters())
             if stage.gr is not None:
-                params.extend(stage.gr.named_parameters())
-            if stage.lr is not None:
-                params.extend(stage.lr.named_parameters())
+                params.extend(stage.gr.named_parameters() + stage.lr.named_parameters())
         if self.ba is not None:
             params.extend(self.ba.named_parameters())
         params.append(self.head)
@@ -232,11 +238,10 @@ class Segmenter:
         return self._params
 
     def param_count(self) -> int:
-        return sum(p.data.size for p in self._params.values())
+        return self.arena.size
 
     def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
+        self.grad_arena.fill(0.0)
 
     def forward(self, image: Tensor) -> Tensor:
         """Map a [3, H, W] image to [num_classes, H, W] logits."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -75,13 +75,19 @@ class RelationParams:
         return [self.squeeze, self.unsqueeze, *self.graph]
 
 
+@cache
+def _squeezed_moves(channels: int, grid: WindowGrid, layout: str):
+    """``grid`` with ``channels`` channels, and its moves to ``layout`` and back."""
+    sub = WindowGrid(channels, grid.H, grid.W, grid.M, grid.N)
+    return sub, _layout_moves(sub, layout)
+
+
 def _correction(xd: np.ndarray, grid: WindowGrid, params: RelationParams, layout: str,
                 cfg: GraphConfig | None):
     """A branch's correction of raw ``xd`` and its pullback to (x, *params.named_parameters());
     ``layout`` is "nodes" for the global view, "tokens" for the local one."""
     cfg = cfg or GraphConfig()
-    sub = WindowGrid(params.squeeze.shape[0], grid.H, grid.W, grid.M, grid.N)
-    there, back = _layout_moves(sub, layout)
+    sub, (there, back) = _squeezed_moves(params.squeeze.shape[0], grid, layout)
     squeezed, squeeze_pb = _conv2d(xd, params.squeeze.data)
     _check_map(squeezed, sub)
     nodes = np.ascontiguousarray(_regroup_data(squeezed, *there))

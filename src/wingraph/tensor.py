@@ -102,14 +102,44 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}{flag})"
 
 
-class Parameter(Tensor):
-    """A learnable tensor with a name that is unique within one model."""
+def _held(slot):
+    """A property over ``Tensor``'s ``data`` or ``grad`` slot with Parameter's assignment rule."""
 
-    __slots__ = ("name",)
+    def assign(p: "Parameter", value) -> None:
+        held = slot.__get__(p) if p._owned else None
+        if held is None:
+            slot.__set__(p, value)
+        elif value is not held:  # ``p.data -= x`` assigns the view itself
+            value = np.zeros(held.shape) if value is None and slot is Tensor.grad else np.asarray(value)
+            if value.shape != held.shape:
+                raise ValueError(f"{p.name}: {slot.__name__} has shape {list(held.shape)}, "
+                                 f"cannot assign {list(value.shape)}")
+            held[...] = value
+
+    return property(slot.__get__, assign)
+
+
+class Parameter(Tensor):
+    """A learnable tensor with a name that is unique within one model.
+
+    Once a model owns it, ``data`` and ``grad`` are views into the model's arenas:
+    ``p.data = x`` and ``p.grad = x`` copy ``x`` into the view, raising ``ValueError``
+    on a shape mismatch, and ``p.grad = None`` zeroes it, so no assignment detaches
+    the parameter.  A parameter no model owns rebinds like a ``Tensor``.
+    """
+
+    __slots__ = ("name", "_owned")
+    data = _held(Tensor.data)
+    grad = _held(Tensor.grad)
 
     def __init__(self, data, name: str):
+        self.name, self._owned = name, False
         super().__init__(data, requires_grad=True)
-        self.name = name
+
+    def _own(self, data: np.ndarray, grad: np.ndarray) -> None:
+        """Move into flat slices ``data`` and ``grad`` (zeroed) of a model's arenas."""
+        data[...] = self.data.reshape(-1)
+        self.data, self.grad, self._owned = data.reshape(self.shape), grad.reshape(self.shape), True
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={list(self.shape)})"
@@ -160,9 +190,10 @@ def backward(loss: Tensor) -> None:
         if g is None or not node.requires_grad:
             continue
         if node._backward is None:
-            if node.grad is None:
-                node.grad = np.zeros(node.data.shape)
-            node.grad += g
+            grad = node.grad  # adding through a local skips Parameter's setter
+            if grad is None:
+                node.grad = grad = np.zeros(node.data.shape)
+            grad += g
             continue
         if node.grad is not None:
             node.grad += g
@@ -371,7 +402,8 @@ def _conv2d(xd: np.ndarray, wd: np.ndarray):
     xp[:, pad:pad + h, pad:pad + wdt] = xd
     # shifted[:, i, j] is the input seen through kernel offset (i, j), and
     # ws[i, j] that offset's [C_out, C_in] weights.
-    shifted = np.lib.stride_tricks.sliding_window_view(xp, (h, wdt), axis=(1, 2))
+    sc, sh, sw = xp.strides
+    shifted = np.lib.stride_tricks.as_strided(xp, (c_in, k, k, h, wdt), (sc, sh, sw, sh, sw), writeable=False)
     ws = wd.transpose(2, 3, 0, 1)
     # One group of all k*k offsets on small maps, one group per kernel row
     # on wide ones; offset n = i * k + j within the flattened stacks.
@@ -525,13 +557,14 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     ld = logits.data
     m = ld.max(axis=0)
     lse = np.log(np.exp(ld - m).sum(axis=0)) + m
-    picked = np.take_along_axis(ld, labels[None], axis=0)[0]
+    target = (labels, *np.indices(labels.shape, sparse=True))  # each pixel's target logit
+    picked = ld[target]
     n_pix = labels.size
     loss = np.asarray((lse - picked).sum() / n_pix)
 
     def _bw(g):
         p = np.exp(ld - lse)
-        np.put_along_axis(p, labels[None], np.take_along_axis(p, labels[None], 0) - 1.0, 0)
+        p[target] -= 1.0
         return (p * (float(g) / n_pix),)
 
     return _op(loss, (logits,), _bw)

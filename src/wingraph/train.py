@@ -40,6 +40,8 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
     if not 0 < lr < math.inf:
         raise ValueError(f"train: lr must be positive and finite, got {lr}")
     report = TrainingReport(param_count=model.param_count())
+    # p.data -= lr * p.grad for every parameter at once, into one reused buffer
+    update = np.empty_like(model.arena)
     for step in range(steps):
         image, labels = dataset[step % len(dataset)]
         model.zero_grad()
@@ -49,9 +51,8 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
             raise TrainingDiverged(f"non-finite loss {value} at step {step} (lr={lr})")
         report.losses.append(value)
         backward(loss)
-        for p in model.parameters().values():
-            if p.grad is not None:
-                p.data -= lr * p.grad
+        np.multiply(lr, model.grad_arena, out=update)
+        model.arena -= update
     report.steps = steps
     if report.losses:
         report.final_loss = report.losses[-1]

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wingraph.graph import (
     GraphConfig,
+    RelationMatrix,
     make_theta,
     node_update,
     node_update_dense_data,
@@ -103,6 +107,35 @@ class TestMakeTheta:
 
     def test_default_coefficient_is_quarter(self):
         assert make_theta(Tensor(np.full((2, 2), 1.0))) == pytest.approx(0.25)
+
+
+# Signed zeros, infinities and NaN come up often, among ordinary values.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rank=st.sampled_from([2, 3]), k=st.integers(1, 4),
+       coefficient=st.floats(-1.0, 1.0), scalar_theta=st.booleans())
+def test_threshold_and_mask_equal_the_mean_and_expand_dims_form(data, rank, k, coefficient,
+                                                                scalar_theta):
+    """``make_theta`` and ``sparsify`` give the bytes of ``np.mean`` and
+    ``np.expand_dims``, for one graph and for a stack (with a [B] or a scalar theta)."""
+    shape = (k, k) if rank == 2 else (data.draw(st.integers(1, 3)), k, k)
+    values = data.draw(arrays(np.float64, shape, elements=_ENTRIES))
+
+    with np.errstate(invalid="ignore"):  # inf - inf, and 0 * inf
+        theta = make_theta(values, coefficient)
+        expected = float(coefficient) * np.mean(values, axis=(-2, -1))
+    expected = float(expected) if rank == 2 else expected
+    assert type(theta) is type(expected)
+    assert np.asarray(theta).tobytes() == np.asarray(expected).tobytes()
+
+    given_theta = float(theta[0]) if scalar_theta and rank == 3 else theta
+    stored = float(given_theta) if rank == 2 else np.asarray(given_theta, dtype=np.float64)
+    pruned = sparsify(RelationMatrix(Tensor(values)), given_theta)
+    assert type(pruned.theta) is type(stored)
+    assert np.asarray(pruned.theta).tobytes() == np.asarray(stored).tobytes()
+    assert pruned.mask.tobytes() == (values > np.expand_dims(stored, (-2, -1))).tobytes()
 
 
 class TestSparsify:

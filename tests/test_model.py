@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wingraph.checkpoint import load_checkpoint, save_checkpoint
 from wingraph.model import (
     ConfigError,
     SegmenterConfig,
@@ -15,6 +16,7 @@ from wingraph.model import (
 from wingraph.data import synth_dataset
 from wingraph.relation import FusionType
 from wingraph.tensor import Tensor, backward, cross_entropy_logits
+from wingraph.train import train
 
 TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
                       r_gr=2, r_lr=2, r_ba=2, dataset_size=2, steps=5)
@@ -209,3 +211,85 @@ class TestTapeFreePredict:
         assert self.step_grads(model, image2, labels2) == self.step_grads(fresh, image2, labels2)
         model.predict(image)
         assert self.step_grads(model, image, labels) == self.step_grads(fresh, image, labels)
+
+
+def assert_in_arenas(model) -> None:
+    """Every parameter's data and grad are its C-contiguous slices of the arenas."""
+    start = 0
+    for name, p in model.parameters().items():
+        stop = start + p.data.size
+        for held, arena in ((p.data, model.arena), (p.grad, model.grad_arena)):
+            assert held.flags.c_contiguous and held.shape == p.shape, name
+            assert np.shares_memory(held, arena[start:stop]), name
+        start = stop
+    assert start == model.arena.size == model.grad_arena.size == model.param_count()
+
+
+class TestParameterArena:
+    """Each model parameter stays a view into its model's two arenas."""
+
+    def test_build_lays_parameters_out_in_order(self):
+        model = build_model(TOY)
+        assert_in_arenas(model)
+        assert model.arena.tobytes() == b"".join(p.data.tobytes() for p in model.parameters().values())
+        assert not model.grad_arena.any()
+
+    def test_train_keeps_views_and_updates_through_them(self):
+        model = build_model(TOY)
+        before = model.arena.copy()
+        train(model, synth_dataset("stripes", 2, 4, 4, 2, 0), steps=3, lr=0.1)
+        assert_in_arenas(model)
+        assert not np.array_equal(model.arena, before)
+
+    def test_checkpoint_loads_into_the_arena_and_trains(self, tmp_path):
+        trained = build_model(TOY)
+        dataset = synth_dataset("stripes", 2, 4, 4, 2, 0)
+        train(trained, dataset, steps=3, lr=0.1)
+        save_checkpoint(trained, tmp_path / "m.wgts")
+        loaded = load_checkpoint(tmp_path / "m.wgts", TOY)
+        assert_in_arenas(loaded)
+        assert loaded.arena.tobytes() == trained.arena.tobytes()
+
+        train(loaded, dataset, steps=3, lr=0.1)
+        assert_in_arenas(loaded)
+        unchanged = [n for n, p in loaded.parameters().items()
+                     if np.array_equal(p.data, trained.parameters()[n].data)]
+        assert unchanged == []
+
+    def test_assignment_writes_into_the_view(self):
+        model = build_model(TOY)
+        head = model.parameters()["head"]
+        view = head.data
+        head.data = np.full(head.shape, 2.5)
+        head.grad = np.full(head.shape, -1.0)
+        assert head.data is view and (view == 2.5).all() and (head.grad == -1.0).all()
+        assert_in_arenas(model)
+        head.grad = None
+        assert not model.grad_arena.any()
+        assert_in_arenas(model)
+
+    def test_wrong_shape_assignment_raises(self):
+        model = build_model(TOY)
+        head = model.parameters()["head"]
+        before = model.arena.copy()
+        for bad in (np.zeros(head.data.size), np.zeros(head.shape + (1,)), 0.0):
+            with pytest.raises(ValueError, match="head: data has shape"):
+                head.data = bad
+            with pytest.raises(ValueError, match="head: grad has shape"):
+                head.grad = bad
+        assert model.arena.tobytes() == before.tobytes()
+        assert_in_arenas(model)
+
+    def test_zero_grad_after_a_parameter_zero_grad(self):
+        model = build_model(TOY)
+        image, labels = synth_dataset("stripes", 1, 4, 4, 2, 0)[0]
+        backward(cross_entropy_logits(model.forward(image), labels))
+        assert model.grad_arena.any()
+        for p in model.parameters().values():
+            p.zero_grad()
+        assert_in_arenas(model)
+        assert not model.grad_arena.any()
+        backward(cross_entropy_logits(model.forward(image), labels))
+        model.zero_grad()
+        assert_in_arenas(model)
+        assert not model.grad_arena.any()

@@ -5,6 +5,8 @@ import pytest
 
 from wingraph.data import synth_dataset
 from wingraph.model import SegmenterConfig, build_model
+from wingraph.relation import FusionType
+from wingraph.tensor import backward, cross_entropy_logits
 from wingraph.train import TrainingDiverged, train
 
 TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
@@ -61,6 +63,44 @@ class TestTrain:
     def test_report_carries_param_count(self):
         model = build_model(TOY)
         assert train(model, toy_dataset(), 1, 0.1).param_count == model.param_count()
+
+
+class TestArenaUpdate:
+    @staticmethod
+    def build(config):
+        model = build_model(config)
+        rng = np.random.default_rng(5)
+        for name, p in model.parameters().items():
+            if name.endswith(".unsqueeze"):  # zero at build, which would zero the graph gradients
+                p.data = rng.normal(0.0, 0.5, p.shape)
+        return model
+
+    @pytest.mark.parametrize("variant,fusion", [("softmax", FusionType.GR_THEN_LR),
+                                                ("cosine", FusionType.PARALLEL)])
+    def test_one_call_update_equals_per_parameter_loop(self, variant, fusion):
+        """train()'s update over the arenas gives the bytes of the loop it replaced."""
+        config = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2), (1, 1, 2)), num_classes=2,
+                                 r_gr=2, r_lr=2, r_ba=2, relation_variant=variant, fusion=fusion)
+        dataset, steps, lr = synth_dataset("blobs", 3, 4, 4, 2, 7), 7, 0.05
+        model = self.build(config)
+        report = train(model, dataset, steps=steps, lr=lr)
+
+        twin, losses = self.build(config), []
+        for step in range(steps):
+            image, labels = dataset[step % len(dataset)]
+            for p in twin.parameters().values():
+                p.zero_grad()
+            loss = cross_entropy_logits(twin.forward(image), labels)
+            losses.append(loss.item())
+            backward(loss)
+            for p in twin.parameters().values():
+                p.data -= lr * p.grad
+
+        assert report.losses == losses
+        for name, p in twin.parameters().items():
+            trained = model.parameters()[name]
+            assert trained.data.tobytes() == p.data.tobytes(), name
+            assert trained.grad.tobytes() == p.grad.tobytes(), name
 
 
 class TestOverfit:
