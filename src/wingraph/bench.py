@@ -1,8 +1,9 @@
 """Dense vs sparse node-propagation timing.
 
 For each (node count K, feature dim D, threshold coefficient c) the
-benchmark builds a row-softmax relation matrix, prunes it at c times the
-mean entry, and times both propagation paths on identical data.  The two
+benchmark builds a row-softmax relation matrix and prunes it at c times the
+mean entry, as a graph round does (``relation_softmax``, ``make_theta``,
+``sparsify``), then times both propagation paths on identical data.  The two
 paths are bit-identical by construction, so the max absolute difference
 column must be exactly 0; it is recorded as a per-row verification.
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import node_update_dense_data, node_update_sparse_data
-from .tensor import Tensor, softmax_rows
+from .graph import make_theta, node_update_dense_data, node_update_sparse_data, relation_softmax, sparsify
+from .tensor import Tensor
 
 CSV_HEADER = "K,D,c,dense_ms,sparse_ms,max_abs_diff"
 
@@ -35,30 +36,26 @@ class BenchRow:
                 f"{self.sparse_ms:.6f},{self.max_abs_diff:g}")
 
 
-def _time_ms(fn, repeats: int) -> tuple[float, list[np.ndarray]]:
+def _time_ms(fn, repeats: int) -> tuple[float, np.ndarray]:
+    """Mean wall time of ``repeats`` calls after one warm-up, and the last output."""
     fn()  # warm-up outside the measurements
     times = np.empty(repeats)
-    outputs = []
     for r in range(repeats):
         start = time.perf_counter()
         out = fn()
         times[r] = (time.perf_counter() - start) * 1e3
-        outputs.append(out)
-    return float(times.mean()), outputs
+    return float(times.mean()), out
 
 
 def bench_point(k: int, d: int, c: float, repeats: int, rng: np.random.Generator) -> BenchRow:
     nodes = rng.uniform(-1.0, 1.0, (k, d))
-    values = softmax_rows(Tensor(nodes @ nodes.T)).data
-    theta = c * values.mean()
-    mask = values > theta
-    masked = np.where(mask, values, 0.0)
+    rel = relation_softmax(Tensor(nodes))
+    rel = sparsify(rel, make_theta(rel.values, c))
+    masked, mask = rel.values.data, rel.mask
 
-    dense_ms, dense_outs = _time_ms(lambda: node_update_dense_data(masked, nodes), repeats)
-    sparse_ms, sparse_outs = _time_ms(lambda: node_update_sparse_data(masked, mask, nodes), repeats)
-
-    diff = max(float(np.abs(a - b).max()) for a, b in zip(dense_outs, sparse_outs))
-    return BenchRow(k, d, c, dense_ms, sparse_ms, diff, int(mask.sum()))
+    dense_ms, dense = _time_ms(lambda: node_update_dense_data(masked, nodes), repeats)
+    sparse_ms, sparse = _time_ms(lambda: node_update_sparse_data(masked, mask, nodes), repeats)
+    return BenchRow(k, d, c, dense_ms, sparse_ms, float(np.abs(dense - sparse).max()), rel.kept_edges())
 
 
 def run_benchmark(ks: list[int], ds: list[int], coefficients: list[float],

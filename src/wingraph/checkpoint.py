@@ -10,7 +10,11 @@ Layout (all integers little-endian):
     blob       concatenated raw little-endian float64 tensor data
 
 Offsets are relative to the start of the blob (the byte right after the
-last manifest entry), and the file ends where the last entry's data ends.
+last manifest entry).  Entries lie back to back in manifest order: each
+offset is the sum of the byte lengths before it, so the blob has no gaps,
+overlaps or reordered entries, and the file ends where the last entry's
+data ends.  The blob is the model's parameter arena: ``save_checkpoint``
+writes it in one piece and ``load_checkpoint`` reads it back in one piece.
 Every stored value must be finite.  Loading validates the whole file before
 touching the model, so a failed load leaves the model as built.
 """
@@ -37,7 +41,6 @@ class CheckpointError(ValueError):
 @dataclass
 class ManifestEntry:
     name: str
-    dtype: int
     shape: tuple[int, ...]
     offset: int
     length: int
@@ -47,7 +50,7 @@ def save_checkpoint(model: Segmenter, path) -> None:
     """Write every model parameter, in registration order: the blob is the model's arena."""
     entries, offset = [], 0
     for name, param in model.parameters().items():
-        entries.append(ManifestEntry(name, DTYPE_FLOAT64, param.shape, offset, 8 * param.data.size))
+        entries.append(ManifestEntry(name, param.shape, offset, 8 * param.data.size))
         offset += 8 * param.data.size
 
     header = bytearray()
@@ -57,7 +60,7 @@ def save_checkpoint(model: Segmenter, path) -> None:
         name_bytes = e.name.encode("utf-8")
         header += struct.pack("<H", len(name_bytes))
         header += name_bytes
-        header += struct.pack("<BB", e.dtype, len(e.shape))
+        header += struct.pack("<BB", DTYPE_FLOAT64, len(e.shape))
         header += struct.pack(f"<{len(e.shape)}Q", *e.shape) if e.shape else b""
         header += struct.pack("<QQ", e.offset, e.length)
     with open(path, "wb") as f:
@@ -66,7 +69,10 @@ def save_checkpoint(model: Segmenter, path) -> None:
 
 
 def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
-    """Parse and sanity-check the header; returns entries and blob start."""
+    """Parse and sanity-check the header; returns entries and blob start.
+
+    Each entry's offset must be the sum of the byte lengths before it.
+    """
     if len(raw) < 10:
         raise CheckpointError("truncated header")
     if raw[:4] != MAGIC:
@@ -74,7 +80,7 @@ def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
     version, count = struct.unpack_from("<HI", raw, 4)
     if version != VERSION:
         raise CheckpointError(f"unsupported version {version}")
-    pos = 10
+    pos, end = 10, 0
     entries = []
     for _ in range(count):
         if pos + 2 > len(raw):
@@ -102,17 +108,15 @@ def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
         if length != expected:
             size = expected if expected < 2 ** 64 else "over 2**64"  # str() caps int digits
             raise CheckpointError(f"entry {name!r}: byte length {length} != shape size {size}")
-        entries.append(ManifestEntry(name, dtype, tuple(int(s) for s in shape), offset, length))
-
-    spans = sorted((e.offset, e.offset + e.length, e.name) for e in entries)
-    for (s0, e0, n0), (s1, _, n1) in zip(spans, spans[1:]):
-        if s1 < e0:
-            raise CheckpointError(f"overlapping manifest entries {n0!r} and {n1!r}")
+        if offset != end:
+            raise CheckpointError(f"entry {name!r}: blob offset {offset}, expected {end}")
+        entries.append(ManifestEntry(name, tuple(int(s) for s in shape), offset, length))
+        end += length
     return entries, pos
 
 
 def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
-    """Build a model from ``config`` and fill it from the file.
+    """Build a model from ``config`` and fill its arena from the file's blob.
 
     The manifest must name exactly the model's parameters with matching
     shapes; any structural difference is a manifest mismatch.  Every value
@@ -125,12 +129,11 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     entries, blob_start = read_manifest(raw)
-    blob = raw[blob_start:]
-    needed = max((e.offset + e.length for e in entries), default=0)
-    if len(blob) < needed:
-        raise CheckpointError(f"truncated blob: have {len(blob)} bytes, need {needed}")
-    if len(blob) > needed:
-        raise CheckpointError(f"trailing bytes: {len(blob) - needed} after the last blob entry")
+    have, needed = len(raw) - blob_start, sum(e.length for e in entries)
+    if have < needed:
+        raise CheckpointError(f"truncated blob: have {have} bytes, need {needed}")
+    if have > needed:
+        raise CheckpointError(f"trailing bytes: {have - needed} after the last blob entry")
 
     model = build_model(config)
     params = model.parameters()
@@ -140,14 +143,15 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
         missing = sorted(set(model_names) - set(file_names))
         extra = sorted(set(file_names) - set(model_names))
         raise CheckpointError(f"manifest mismatch: missing {missing}, unexpected {extra}")
-    values = []
-    for e in entries:
-        if params[e.name].shape != e.shape:
-            raise CheckpointError(f"manifest mismatch: {e.name!r} has shape {list(e.shape)}, "
-                                  f"model expects {list(params[e.name].shape)}")
-        arr = np.frombuffer(blob, dtype="<f8", count=e.length // 8, offset=e.offset)
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"entry {e.name!r} holds a NaN or an infinity")
-        values.append(arr)
-    np.concatenate(values, out=model.arena)
+    bad = next((e for e in entries if params[e.name].shape != e.shape), None)
+    if bad is not None:
+        raise CheckpointError(f"manifest mismatch: {bad.name!r} has shape {list(bad.shape)}, "
+                              f"model expects {list(params[bad.name].shape)}")
+    blob = np.frombuffer(raw, dtype="<f8", count=needed // 8, offset=blob_start)
+    finite = np.isfinite(blob)
+    if not finite.all():
+        ends = np.cumsum([e.length // 8 for e in entries])
+        first = entries[int(np.searchsorted(ends, finite.argmin(), side="right"))]
+        raise CheckpointError(f"entry {first.name!r} holds a NaN or an infinity")
+    model.arena[...] = blob
     return model

@@ -94,15 +94,6 @@ def paint_discs(h: int, w: int, discs: list[Disc]) -> np.ndarray:
     return labels
 
 
-def validate_label_map(labels: np.ndarray, num_classes: int) -> None:
-    if labels.ndim != 2:
-        raise ValueError(f"label map must be 2-D, got shape {list(labels.shape)}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"label map must be integer, got dtype {labels.dtype}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"label ids must lie in [0, {num_classes})")
-
-
 def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
                   seed: int) -> list[tuple[Tensor, np.ndarray]]:
     """Generate ``n`` (image, label map) pairs, deterministic in ``seed``."""
@@ -119,6 +110,5 @@ def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
             labels = paint_discs(h, w, blob_discs(h, w, num_classes, rng))
         else:
             labels = checker_labels(h, w, num_classes)
-        validate_label_map(labels, num_classes)
         samples.append((Tensor(render_image(labels, num_classes, rng)), labels))
     return samples

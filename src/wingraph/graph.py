@@ -288,7 +288,7 @@ def _graph_round(xd: np.ndarray, wd: np.ndarray, cfg: GraphConfig):
 
 
 def run_graph(nodes: Tensor, weights: list[Parameter] | tuple[Parameter, ...],
-              config: GraphConfig | None = None) -> Tensor:
+              cfg: GraphConfig = GraphConfig()) -> Tensor:
     """Apply L rounds of relate -> prune -> propagate -> mix, one tape op each.
 
     The relation matrix and its threshold are recomputed from the current
@@ -297,7 +297,6 @@ def run_graph(nodes: Tensor, weights: list[Parameter] | tuple[Parameter, ...],
     """
     if not weights:
         raise ValueError("run_graph: at least one layer required")
-    cfg = config or GraphConfig()
     x = nodes
     for w in weights:
         out, pullback = _graph_round(x.data, w.data, cfg)

@@ -83,10 +83,9 @@ def _squeezed_moves(channels: int, grid: WindowGrid, layout: str):
 
 
 def _correction(xd: np.ndarray, grid: WindowGrid, params: RelationParams, layout: str,
-                cfg: GraphConfig | None):
+                cfg: GraphConfig):
     """A branch's correction of raw ``xd`` and its pullback to (x, *params.named_parameters());
     ``layout`` is "nodes" for the global view, "tokens" for the local one."""
-    cfg = cfg or GraphConfig()
     sub, (there, back) = _squeezed_moves(params.squeeze.shape[0], grid, layout)
     squeezed, squeeze_pb = _conv2d(xd, params.squeeze.data)
     _check_map(squeezed, sub)
@@ -110,7 +109,7 @@ def _correction(xd: np.ndarray, grid: WindowGrid, params: RelationParams, layout
 
 
 def _residual(x: Tensor, grid: WindowGrid, branches: list[tuple[RelationParams, str]],
-              cfg: GraphConfig | None) -> Tensor:
+              cfg: GraphConfig) -> Tensor:
     """``x`` plus the corrections of ``branches``, (params, layout) pairs, as one tape op."""
     corrections = [_correction(x.data, grid, params, layout, cfg) for params, layout in branches]
 
@@ -127,13 +126,13 @@ def _residual(x: Tensor, grid: WindowGrid, branches: list[tuple[RelationParams, 
 
 
 def global_relation(x: Tensor, grid: WindowGrid, params: RelationParams,
-                    cfg: GraphConfig | None = None) -> Tensor:
+                    cfg: GraphConfig = GraphConfig()) -> Tensor:
     """Relate windows globally; returns x plus the learned correction."""
     return _residual(x, grid, [(params, "nodes")], cfg)
 
 
 def local_relation(x: Tensor, grid: WindowGrid, params: RelationParams,
-                   cfg: GraphConfig | None = None) -> Tensor:
+                   cfg: GraphConfig = GraphConfig()) -> Tensor:
     """Relate pixels within each window independently; residual output.
 
     Windows never exchange information here: zeroing one window's input
@@ -146,7 +145,7 @@ def graph_transformer_block(x: Tensor, grid: WindowGrid,
                             gr_params: RelationParams,
                             lr_params: RelationParams,
                             fusion: FusionType = FusionType.GR_THEN_LR,
-                            cfg: GraphConfig | None = None) -> Tensor:
+                            cfg: GraphConfig = GraphConfig()) -> Tensor:
     """Fused global + local relation block.
 
     Series fusions chain the residual modules; parallel fusion adds both

@@ -1,6 +1,7 @@
 """Checkpoint format: bit-exact round trips and corruption detection."""
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -140,6 +141,41 @@ class TestCorruption:
         other = dataclasses.replace(TOY, enable_ba=False)
         with pytest.raises(CheckpointError, match="manifest mismatch"):
             load_checkpoint(path, other)
+
+    def test_manifest_mismatch_names_the_shape(self, trained):
+        _, _, path = trained
+        message = "'ba.squeeze' has shape [2, 4, 1, 1], model expects [4, 4, 1, 1]"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path, dataclasses.replace(TOY, r_ba=1))
+
+    @pytest.mark.parametrize("layout", ["permuted", "gapped"])
+    def test_entries_must_lie_back_to_back(self, trained, tmp_path, layout):
+        # Each file keeps every entry's offset pointing at that entry's own
+        # data, so a reader that follows the offsets would load it.
+        _, _, path = trained
+        raw = path.read_bytes()
+        entries, start = read_manifest(raw)
+        first, second = entries[:2]
+        blob, split = raw[start:], first.length + second.length
+        if layout == "permuted":  # the first two entries' data swapped
+            offsets = [second.length, 0] + [e.offset for e in entries[2:]]
+            blob = blob[first.length:split] + blob[:first.length] + blob[split:]
+            message = f"entry '{first.name}': blob offset {second.length}, expected 0"
+        else:  # an 8-byte NaN between the first two entries
+            offsets = [0] + [e.offset + 8 for e in entries[1:]]
+            blob = blob[:first.length] + struct.pack("<d", np.nan) + blob[first.length:]
+            message = f"entry '{second.name}': blob offset {first.length + 8}, expected {first.length}"
+        header = bytearray(raw[:start])
+        pos = 10
+        for e, offset in zip(entries, offsets):
+            pos += 2 + len(e.name.encode("utf-8")) + 2 + 8 * len(e.shape)
+            struct.pack_into("<Q", header, pos, offset)
+            pos += 16
+        bad = tmp_path / f"{layout}.wgts"
+        bad.write_bytes(bytes(header) + blob)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(bad, TOY)
+        assert main(["eval", "--checkpoint", str(bad), *TOY_OVERRIDES]) == 2
 
     def test_unsupported_version(self, trained, tmp_path):
         _, _, path = trained

@@ -192,6 +192,12 @@ class TestTrainCommand:
         assert main(["ablate", "fusion"] + flat) == 0
         assert all(row.endswith(",nan") for row in capsys.readouterr().out.splitlines()[1:])
 
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+    def test_diverged_training_exits_one(self, tmp_path, capsys):
+        assert main(["train", "--out", str(tmp_path / "run")] + FAST + ["--override", "lr=1e300"]) == 1
+        err = capsys.readouterr().err
+        assert "training diverged" in err and "Traceback" not in err
+
     def test_violated_constraint_exits_two_naming_it(self, capsys):
         assert main(["train"] + FAST + ["--override", "r_gr=3"]) == 2
         assert "r_gr=3 does not divide" in capsys.readouterr().err
@@ -354,6 +360,10 @@ UNREADABLE_INPUTS = {
     "bench_inf_c": lambda tmp_path: ["bench", "--K", "2", "--D", "2", "--c", "inf", "--repeats", "1"],
     "nan_lr": lambda tmp_path: ["train", "--override", "lr=nan", "--out", str(tmp_path / "out")],
     "inf_lr": lambda tmp_path: ["train", "--override", "lr=inf", "--out", str(tmp_path / "out")],
+    "nan_theta_coefficient": lambda tmp_path: [
+        "train", "--override", "theta_coefficient=nan", "--out", str(tmp_path / "out")],
+    "inf_theta_coefficient": lambda tmp_path: [
+        "train", "--override", "theta_coefficient=inf", "--out", str(tmp_path / "out")],
     "train_out_is_a_file": _file_as_out(["train"]),
     "gradcheck_out_is_a_file": _file_as_out(["gradcheck", "gr"]),
     "ablate_out_is_a_file": _file_as_out(["ablate", "theta"]),
