@@ -16,9 +16,13 @@ raises ``FloatingPointError``, so the script exits non-zero, when any
 hashed logit, loss or gradient, or a logit behind a hashed ``predict``,
 is not finite. A 37th line, ``gradcheck-all-seed0``, hashes the stdout of
 ``wingraph gradcheck all --seed 0``, so the same diff covers every
-finite-difference check too. Only the public ``wingraph`` API and its
-command-line entry point are used, so the script runs unchanged against
-two revisions of the package:
+finite-difference check too. Two more lines, ``train-out-toy-softmax`` and
+``train-out-toy-cosine``, hash the file names and bytes of the directory
+that ``wingraph train --out`` writes for a short toy run of each relation
+variant: the arena update in ``train``, the checkpoint bytes, the loss
+curve, ``metrics.csv`` and ``report.json``. Only the public ``wingraph``
+API and its command-line entry point are used, so the script runs
+unchanged against two revisions of the package:
 
     PYTHONPATH=old/src python3 tools/output_digest.py > old.txt
     PYTHONPATH=new/src python3 tools/output_digest.py > new.txt
@@ -31,6 +35,8 @@ import contextlib
 import hashlib
 import io
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +50,7 @@ COMPONENTS = {"gt_ba": (True, True), "gt": (True, False), "ba": (False, True)}
 STEPS = 3
 LR = 1e-9
 UNSQUEEZE_STD = 0.01
+TRAIN_OUT_STEPS = 20
 
 
 def configurations() -> list[tuple[str, SegmenterConfig]]:
@@ -111,10 +118,26 @@ def gradcheck_digest() -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def train_out_digest(variant: str) -> str:
+    """Hash the file names and bytes that a toy ``wingraph train --out`` run writes."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = wingraph_main(["train", "--out", out, "--override", f"relation_variant={variant}",
+                              "--override", f"steps={TRAIN_OUT_STEPS}"])
+        if code != 0:
+            raise RuntimeError(f"wingraph train exited {code}")
+        for path in sorted(Path(out).iterdir()):
+            h.update(path.name.encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, config in configurations():
         print(name, digest(*prepare(config)))
     print("gradcheck-all-seed0", gradcheck_digest())
+    for variant in ("softmax", "cosine"):
+        print(f"train-out-toy-{variant}", train_out_digest(variant))
 
 
 if __name__ == "__main__":
