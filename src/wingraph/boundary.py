@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, _conv2d, _gelu, _op, _sigmoid
+from .tensor import Parameter, SpecRow, Tensor, _conv2d, _gelu, _op, _sigmoid, draw_parameters
 
 LOCAL_KERNEL = 7
 
@@ -38,16 +38,21 @@ class BAParams:
             raise ValueError(f"BAParams: local kernel must be {LOCAL_KERNEL}x{LOCAL_KERNEL}, "
                              f"got {list(self.local.shape)}")
 
-    @classmethod
-    def create(cls, c: int, r_ba: int, rng: np.random.Generator, prefix: str) -> "BAParams":
+    @staticmethod
+    def spec(c: int, r_ba: int, prefix: str) -> list[SpecRow]:
+        """The gate's parameter rows, in ``named_parameters`` order."""
         if r_ba < 1 or c % r_ba != 0:
             raise ValueError(f"boundary attention: compression ratio {r_ba} does not divide {c} channels")
         c_sq = c // r_ba
-        squeeze = Parameter(rng.normal(0.0, c ** -0.5, (c_sq, c, 1, 1)), f"{prefix}.squeeze")
-        local = Parameter(rng.normal(0.0, (LOCAL_KERNEL ** 2 * c_sq) ** -0.5,
-                                     (c_sq, c_sq, LOCAL_KERNEL, LOCAL_KERNEL)), f"{prefix}.local")
-        unsqueeze = Parameter(np.zeros((c, c_sq, 1, 1)), f"{prefix}.unsqueeze")
-        return cls(squeeze, local, unsqueeze)
+        return [(f"{prefix}.squeeze", (c_sq, c, 1, 1), c ** -0.5),
+                (f"{prefix}.local", (c_sq, c_sq, LOCAL_KERNEL, LOCAL_KERNEL),
+                 (LOCAL_KERNEL ** 2 * c_sq) ** -0.5),
+                (f"{prefix}.unsqueeze", (c, c_sq, 1, 1), 0.0)]
+
+    @classmethod
+    def create(cls, c: int, r_ba: int, rng: np.random.Generator, prefix: str) -> "BAParams":
+        _, _, params = draw_parameters(cls.spec(c, r_ba, prefix), rng)
+        return cls(*params)
 
     def named_parameters(self) -> list[Parameter]:
         return [self.squeeze, self.local, self.unsqueeze]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Segmenter, SegmenterConfig, build_model
+from .model import Segmenter, SegmenterConfig, build_model, param_spec
 
 MAGIC = b"WGTS"
 VERSION = 1
@@ -48,21 +48,19 @@ class ManifestEntry:
 
 def save_checkpoint(model: Segmenter, path) -> None:
     """Write every model parameter, in registration order: the blob is the model's arena."""
-    entries, offset = [], 0
-    for name, param in model.parameters().items():
-        entries.append(ManifestEntry(name, param.shape, offset, 8 * param.data.size))
-        offset += 8 * param.data.size
-
+    params = model.parameters()
     header = bytearray()
     header += MAGIC
-    header += struct.pack("<HI", VERSION, len(entries))
-    for e in entries:
-        name_bytes = e.name.encode("utf-8")
+    header += struct.pack("<HI", VERSION, len(params))
+    offset = 0
+    for name, param in params.items():
+        name_bytes = name.encode("utf-8")
         header += struct.pack("<H", len(name_bytes))
         header += name_bytes
-        header += struct.pack("<BB", DTYPE_FLOAT64, len(e.shape))
-        header += struct.pack(f"<{len(e.shape)}Q", *e.shape) if e.shape else b""
-        header += struct.pack("<QQ", e.offset, e.length)
+        header += struct.pack("<BB", DTYPE_FLOAT64, param.ndim)
+        header += struct.pack(f"<{param.ndim}Q", *param.shape)
+        header += struct.pack("<QQ", offset, 8 * param.data.size)
+        offset += 8 * param.data.size
     with open(path, "wb") as f:
         f.write(bytes(header))
         f.write(model.arena.astype("<f8", copy=False).tobytes())
@@ -118,10 +116,11 @@ def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
 def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
     """Build a model from ``config`` and fill its arena from the file's blob.
 
-    The manifest must name exactly the model's parameters with matching
-    shapes; any structural difference is a manifest mismatch.  Every value
-    must be finite: the first entry, in manifest order, holding a NaN or an
-    infinity is named in the ``CheckpointError``.
+    The manifest must name exactly the rows of ``param_spec(config)`` with
+    matching shapes; any structural difference is a manifest mismatch.  Every
+    value must be finite: the first entry, in manifest order, holding a NaN or
+    an infinity is named in the ``CheckpointError``.  The config and the whole
+    file are checked before a model is built.
     """
     try:
         with open(path, "rb") as f:
@@ -135,23 +134,24 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
     if have > needed:
         raise CheckpointError(f"trailing bytes: {have - needed} after the last blob entry")
 
-    model = build_model(config)
-    params = model.parameters()
+    config.validate()
+    spec = param_spec(config)
     file_names = [e.name for e in entries]
-    model_names = list(params.keys())
-    if file_names != model_names:
-        missing = sorted(set(model_names) - set(file_names))
-        extra = sorted(set(file_names) - set(model_names))
+    spec_names = [name for name, _, _ in spec]
+    if file_names != spec_names:
+        missing = sorted(set(spec_names) - set(file_names))
+        extra = sorted(set(file_names) - set(spec_names))
         raise CheckpointError(f"manifest mismatch: missing {missing}, unexpected {extra}")
-    bad = next((e for e in entries if params[e.name].shape != e.shape), None)
-    if bad is not None:
-        raise CheckpointError(f"manifest mismatch: {bad.name!r} has shape {list(bad.shape)}, "
-                              f"model expects {list(params[bad.name].shape)}")
+    for e, (_, shape, _) in zip(entries, spec):
+        if e.shape != shape:
+            raise CheckpointError(f"manifest mismatch: {e.name!r} has shape {list(e.shape)}, "
+                                  f"model expects {list(shape)}")
     blob = np.frombuffer(raw, dtype="<f8", count=needed // 8, offset=blob_start)
     finite = np.isfinite(blob)
     if not finite.all():
         ends = np.cumsum([e.length // 8 for e in entries])
         first = entries[int(np.searchsorted(ends, finite.argmin(), side="right"))]
         raise CheckpointError(f"entry {first.name!r} holds a NaN or an infinity")
+    model = build_model(config)
     model.arena[...] = blob
     return model

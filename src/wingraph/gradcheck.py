@@ -151,7 +151,7 @@ def _run_graph_check(variant, depth, stack=()):
 
 
 def _window_attention(rng):
-    block = WindowAttention(4, rng, "attn")
+    block = WindowAttention.create(4, rng, "attn")
     # Default-scale weights give near-uniform attention; wider ones make the
     # softmax part of the path matter.
     for p in block.named_parameters():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .relation import (
 )
 from .tensor import (
     Parameter,
+    SpecRow,
     Tensor,
     _matmul_data,
     _matmul_grads,
@@ -33,6 +35,7 @@ from .tensor import (
     _softmax_data,
     _softmax_grad,
     conv2d,
+    draw_parameters,
 )
 from .windows import WindowGrid, _check_map, _layout_moves, _regroup_data
 
@@ -91,13 +94,10 @@ class SegmenterConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if not isinstance(self.fusion, FusionType):
             raise ConfigError(f"fusion must be a FusionType, got {self.fusion!r}")
-        if self.enable_gt:
-            if self.r_gr < 1 or self.C % self.r_gr != 0:
-                raise ConfigError(f"r_gr={self.r_gr} does not divide C={self.C}")
-            if self.r_lr < 1 or self.C % self.r_lr != 0:
-                raise ConfigError(f"r_lr={self.r_lr} does not divide C={self.C}")
-        if self.enable_ba and (self.r_ba < 1 or self.C % self.r_ba != 0):
-            raise ConfigError(f"r_ba={self.r_ba} does not divide C={self.C}")
+        for name, enabled in (("r_gr", self.enable_gt), ("r_lr", self.enable_gt), ("r_ba", self.enable_ba)):
+            ratio = getattr(self, name)
+            if enabled and (ratio < 1 or self.C % ratio != 0):
+                raise ConfigError(f"{name}={ratio} does not divide C={self.C}")
         if self.graph_depth < 1:
             raise ConfigError(f"graph_depth must be >= 1, got {self.graph_depth}")
         if not np.isfinite(self.theta_coefficient):
@@ -120,6 +120,7 @@ class SegmenterConfig:
                            theta_coefficient=self.theta_coefficient)
 
 
+@dataclass
 class WindowAttention:
     """Plain scaled dot-product self-attention inside each window.
 
@@ -134,18 +135,25 @@ class WindowAttention:
     g + the regrouped tokens' gradient.
     """
 
-    def __init__(self, c: int, rng: np.random.Generator, prefix: str):
-        self.c = c
-        scale = 1.0 / c
-        self.wq = Parameter(rng.normal(0.0, scale, (c, c)), f"{prefix}.wq")
-        self.wk = Parameter(rng.normal(0.0, scale, (c, c)), f"{prefix}.wk")
-        self.wv = Parameter(rng.normal(0.0, scale, (c, c)), f"{prefix}.wv")
+    wq: Parameter
+    wk: Parameter
+    wv: Parameter
+
+    @staticmethod
+    def spec(c: int, prefix: str) -> list[SpecRow]:
+        """The block's parameter rows, in ``named_parameters`` order."""
+        return [(f"{prefix}.{w}", (c, c), 1.0 / c) for w in ("wq", "wk", "wv")]
+
+    @classmethod
+    def create(cls, c: int, rng: np.random.Generator, prefix: str) -> "WindowAttention":
+        _, _, params = draw_parameters(cls.spec(c, prefix), rng)
+        return cls(*params)
 
     def forward(self, x: Tensor, grid: WindowGrid) -> Tensor:
         _check_map(x, grid)
         to_tokens, from_tokens = _layout_moves(grid, "tokens")
         wq, wk, wv = self.wq.data, self.wk.data, self.wv.data
-        scale = self.c ** -0.5
+        scale = wq.shape[0] ** -0.5
         # Every array the chain held as a Tensor is contiguous, as
         # ``Tensor`` makes it, so each product gets the chain's BLAS call.
         tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
@@ -194,45 +202,22 @@ class Segmenter:
     def __init__(self, config: SegmenterConfig):
         config.validate()
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        c = config.C
-
-        self.stem = Parameter(rng.normal(0.0, 3 ** -0.5, (c, 3, 1, 1)), "stem")
+        self.arena, self.grad_arena, params = draw_parameters(
+            param_spec(config), np.random.default_rng(config.seed))
+        self._params = OrderedDict((p.name, p) for p in params)
+        # Each module takes its parameters in param_spec's order.
+        take = iter(params)
+        self.stem = next(take)
         self.stages: list[_Stage] = []
-        for s, (blocks, m, n) in enumerate(config.stages):
-            grid = WindowGrid(c, config.H, config.W, m, n)
-            attn = [WindowAttention(c, rng, f"stage{s}.attn{b}") for b in range(blocks)]
-            stage = _Stage(grid, attn)
+        for blocks, m, n in config.stages:
+            grid = WindowGrid(config.C, config.H, config.W, m, n)
+            stage = _Stage(grid, [WindowAttention(*islice(take, 3)) for _ in range(blocks)])
             if config.enable_gt:
-                stage.gr = RelationParams.create(c, config.r_gr, grid.h_w * grid.w_w,
-                                                 config.graph_depth, rng, f"stage{s}.gt.gr")
-                stage.lr = RelationParams.create(c, config.r_lr, 1, config.graph_depth,
-                                                 rng, f"stage{s}.gt.lr")
+                stage.gr = RelationParams(next(take), next(take), tuple(islice(take, config.graph_depth)))
+                stage.lr = RelationParams(next(take), next(take), tuple(islice(take, config.graph_depth)))
             self.stages.append(stage)
-        self.ba = BAParams.create(c, config.r_ba, rng, "ba") if config.enable_ba else None
-        self.head = Parameter(rng.normal(0.0, c ** -0.5, (config.num_classes, c, 1, 1)), "head")
-
-        self._params: "OrderedDict[str, Parameter]" = OrderedDict()
-        for p in self._collect_parameters():
-            if p.name in self._params:
-                raise ConfigError(f"duplicate parameter name {p.name!r}")
-            self._params[p.name] = p
-        ends = np.cumsum([p.data.size for p in self._params.values()])
-        self.arena, self.grad_arena = np.zeros(ends[-1]), np.zeros(ends[-1])
-        for p, start, stop in zip(self._params.values(), (0, *ends), ends):
-            p._own(self.arena[start:stop], self.grad_arena[start:stop])
-
-    def _collect_parameters(self) -> list[Parameter]:
-        params = [self.stem]
-        for stage in self.stages:
-            for block in stage.attention:
-                params.extend(block.named_parameters())
-            if stage.gr is not None:
-                params.extend(stage.gr.named_parameters() + stage.lr.named_parameters())
-        if self.ba is not None:
-            params.extend(self.ba.named_parameters())
-        params.append(self.head)
-        return params
+        self.ba = BAParams(*islice(take, 3)) if config.enable_ba else None
+        self.head = next(take)
 
     def parameters(self) -> "OrderedDict[str, Parameter]":
         return self._params
@@ -275,13 +260,30 @@ class Segmenter:
                 p.requires_grad = True
 
 
+def param_spec(config: SegmenterConfig) -> list[SpecRow]:
+    """Every parameter's (name, shape, init std) row, in ``parameters()`` order.
+
+    It depends on the config alone, which must be valid; a model's arena is
+    these rows drawn in order from the config seed (see ``draw_parameters``).
+    """
+    c = config.C
+    rows = [("stem", (c, 3, 1, 1), 3 ** -0.5)]
+    for s, (blocks, m, n) in enumerate(config.stages):
+        for b in range(blocks):
+            rows += WindowAttention.spec(c, f"stage{s}.attn{b}")
+        if config.enable_gt:
+            pixels = (config.H // m) * (config.W // n)
+            rows += RelationParams.spec(c, config.r_gr, pixels, config.graph_depth, f"stage{s}.gt.gr")
+            rows += RelationParams.spec(c, config.r_lr, 1, config.graph_depth, f"stage{s}.gt.lr")
+    if config.enable_ba:
+        rows += BAParams.spec(c, config.r_ba, "ba")
+    rows.append(("head", (config.num_classes, c, 1, 1), c ** -0.5))
+    return rows
+
+
 def build_model(config: SegmenterConfig) -> Segmenter:
     """Validate the config and deterministically initialise a model."""
     return Segmenter(config)
-
-
-def attention_param_count(c: int) -> int:
-    return 3 * c * c
 
 
 def baseline_param_count(config: SegmenterConfig) -> int:
@@ -289,7 +291,7 @@ def baseline_param_count(config: SegmenterConfig) -> int:
     stem (3C) + 3C^2 per attention block + classifier (C * num_classes)."""
     total = 3 * config.C
     for blocks, _, _ in config.stages:
-        total += blocks * attention_param_count(config.C)
+        total += blocks * 3 * config.C ** 2
     total += config.C * config.num_classes
     return total
 

@@ -26,7 +26,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .graph import GraphConfig, _graph_round
-from .tensor import Parameter, Tensor, _conv2d, _op
+from .tensor import Parameter, SpecRow, Tensor, _conv2d, _op, draw_parameters
 from .windows import WindowGrid, _check_map, _layout_moves, _regroup_data
 
 
@@ -54,22 +54,25 @@ class RelationParams:
     unsqueeze: Parameter
     graph: tuple[Parameter, ...]
 
-    @classmethod
-    def create(cls, c: int, ratio: int, pixels: int, depth: int,
-               rng: np.random.Generator, prefix: str) -> "RelationParams":
-        """``pixels`` is the pixel count of one graph node: a window's
-        ``h_w * w_w`` for the global branch, 1 for the local one."""
+    @staticmethod
+    def spec(c: int, ratio: int, pixels: int, depth: int, prefix: str) -> list[SpecRow]:
+        """The branch's parameter rows, in ``named_parameters`` order.  ``pixels`` is the pixel
+        count of one graph node: a window's ``h_w * w_w`` for the global branch, 1 for the local one."""
         if ratio < 1 or c % ratio != 0:
             raise ValueError(f"{prefix}: compression ratio {ratio} does not divide {c} channels")
         if depth < 1:
             raise ValueError(f"{prefix}: at least one graph round required, got depth {depth}")
         c_sq = c // ratio
-        squeeze = Parameter(rng.normal(0.0, c ** -0.5, (c_sq, c, 1, 1)), f"{prefix}.squeeze")
-        unsqueeze = Parameter(np.zeros((c, c_sq, 1, 1)), f"{prefix}.unsqueeze")
         dim = c_sq * pixels
-        graph = tuple(Parameter(rng.normal(0.0, dim ** -0.5, (dim, dim)), f"{prefix}.graph{l}")
-                      for l in range(depth))
-        return cls(squeeze, unsqueeze, graph)
+        return [(f"{prefix}.squeeze", (c_sq, c, 1, 1), c ** -0.5),
+                (f"{prefix}.unsqueeze", (c, c_sq, 1, 1), 0.0),
+                *((f"{prefix}.graph{l}", (dim, dim), dim ** -0.5) for l in range(depth))]
+
+    @classmethod
+    def create(cls, c: int, ratio: int, pixels: int, depth: int,
+               rng: np.random.Generator, prefix: str) -> "RelationParams":
+        _, _, (squeeze, unsqueeze, *graph) = draw_parameters(cls.spec(c, ratio, pixels, depth, prefix), rng)
+        return cls(squeeze, unsqueeze, tuple(graph))
 
     def named_parameters(self) -> list[Parameter]:
         return [self.squeeze, self.unsqueeze, *self.graph]

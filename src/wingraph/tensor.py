@@ -44,6 +44,8 @@ products are still summed in ascending (i, j) order from a zero start.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # GELU tanh-approximation constants: sqrt(2/pi) and the cubic coefficient.
@@ -122,10 +124,11 @@ def _held(slot):
 class Parameter(Tensor):
     """A learnable tensor with a name that is unique within one model.
 
-    Once a model owns it, ``data`` and ``grad`` are views into the model's arenas:
-    ``p.data = x`` and ``p.grad = x`` copy ``x`` into the view, raising ``ValueError``
-    on a shape mismatch, and ``p.grad = None`` zeroes it, so no assignment detaches
-    the parameter.  A parameter no model owns rebinds like a ``Tensor``.
+    One made by :func:`draw_parameters`, as every model's and module's are, owns
+    views into flat arenas as ``data`` and ``grad``: ``p.data = x`` and ``p.grad = x``
+    copy ``x`` into the view, raising ``ValueError`` on a shape mismatch, and
+    ``p.grad = None`` zeroes it, so no assignment detaches the parameter.  A
+    parameter made directly rebinds like a ``Tensor``.
     """
 
     __slots__ = ("name", "_owned")
@@ -136,13 +139,34 @@ class Parameter(Tensor):
         self.name, self._owned = name, False
         super().__init__(data, requires_grad=True)
 
-    def _own(self, data: np.ndarray, grad: np.ndarray) -> None:
-        """Move into flat slices ``data`` and ``grad`` (zeroed) of a model's arenas."""
-        data[...] = self.data.reshape(-1)
-        self.data, self.grad, self._owned = data.reshape(self.shape), grad.reshape(self.shape), True
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={list(self.shape)})"
+
+
+# One row of a parameter spec: (name, shape, init std); std 0 means zeros.
+SpecRow = tuple[str, tuple[int, ...], float]
+
+
+def draw_parameters(spec: list[SpecRow], rng: np.random.Generator):
+    """Fresh flat ``(arena, grad_arena, parameters)`` for ``spec``'s rows, in order.
+
+    Each parameter owns its row's slices of the two zeroed arenas.  A row is drawn
+    straight into its slice as ``std`` times standard normals, as ``rng.normal(0,
+    std, shape)`` draws it; a row with std 0 stays zero and takes no draws.
+    """
+    sizes = [math.prod(shape) for _, shape, _ in spec]
+    arena, grad_arena = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+    params, start = [], 0
+    for (name, shape, std), size in zip(spec, sizes):
+        data = arena[start:start + size]
+        if std:
+            rng.standard_normal(out=data)
+            data *= std
+        p = Parameter(data.reshape(shape), name)
+        p.grad, p._owned = grad_arena[start:start + size].reshape(shape), True
+        params.append(p)
+        start += size
+    return arena, grad_arena, params
 
 
 def _op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

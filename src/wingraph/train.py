@@ -42,17 +42,20 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
     report = TrainingReport(param_count=model.param_count())
     # p.data -= lr * p.grad for every parameter at once, into one reused buffer
     update = np.empty_like(model.arena)
-    for step in range(steps):
-        image, labels = dataset[step % len(dataset)]
-        model.zero_grad()
-        loss = cross_entropy_logits(model.forward(image), labels)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise TrainingDiverged(f"non-finite loss {value} at step {step} (lr={lr})")
-        report.losses.append(value)
-        backward(loss)
-        np.multiply(lr, model.grad_arena, out=update)
-        model.arena -= update
+    # A diverging run overflows to inf and nan; the loss check reports that as
+    # TrainingDiverged, so numpy's warnings about it would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(steps):
+            image, labels = dataset[step % len(dataset)]
+            model.zero_grad()
+            loss = cross_entropy_logits(model.forward(image), labels)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"non-finite loss {value} at step {step} (lr={lr})")
+            report.losses.append(value)
+            backward(loss)
+            np.multiply(lr, model.grad_arena, out=update)
+            model.arena -= update
     report.steps = steps
     if report.losses:
         report.final_loss = report.losses[-1]

@@ -142,13 +142,13 @@ def test_shared_matmul_gradient_equals_ascending_loop(b, p, q, s, seed):
 def per_window_attention(block: WindowAttention, x: Tensor, grid: WindowGrid) -> Tensor:
     """Window attention as a loop of rank-2 ops, one window at a time."""
     wins = partition(x, grid)
-    pixels = grid.h_w * grid.w_w
+    pixels, c = grid.h_w * grid.w_w, block.wq.shape[0]
     outs = []
     for i in range(grid.num_nodes):
-        tokens = transpose(reshape(take(wins, i), (block.c, pixels)))
+        tokens = transpose(reshape(take(wins, i), (c, pixels)))
         q, k, v = (matmul(tokens, w) for w in (block.wq, block.wk, block.wv))
-        att = softmax_rows(scalar_mul(matmul(q, transpose(k)), block.c ** -0.5))
-        outs.append(reshape(transpose(matmul(att, v)), (block.c, grid.h_w, grid.w_w)))
+        att = softmax_rows(scalar_mul(matmul(q, transpose(k)), c ** -0.5))
+        outs.append(reshape(transpose(matmul(att, v)), (c, grid.h_w, grid.w_w)))
     return add(x, merge(stack(outs), grid))
 
 
@@ -158,7 +158,7 @@ def per_window_attention(block: WindowAttention, x: Tensor, grid: WindowGrid) ->
 def test_window_attention_equals_per_window_loop(c, m, n, h_w, w_w, seed):
     rng = np.random.default_rng(seed)
     grid = WindowGrid(c, m * h_w, n * w_w, m, n)
-    block = WindowAttention(c, rng, "attn")
+    block = WindowAttention.create(c, rng, "attn")
     for p in block.named_parameters():
         p.data = rng.uniform(-1, 1, p.shape)
     x = Tensor(rng.uniform(-1, 1, (c, grid.H, grid.W)), requires_grad=True)
@@ -171,7 +171,8 @@ def test_window_attention_equals_per_window_loop(c, m, n, h_w, w_w, seed):
             leaf.grad = None
         out = forward(x, grid)
         backward(sum_all(hadamard(out, proj)))
-        runs.append([out.data] + [leaf.grad for leaf in leaves])
+        # The block's parameters own their gradient slots, so keep copies.
+        runs.append([out.data] + [leaf.grad.copy() for leaf in leaves])
     # Gradients too: shared weights sum the windows in the loop's order.
     for batched, looped in zip(*runs):
         assert np.array_equal(batched, looped)

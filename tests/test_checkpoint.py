@@ -19,7 +19,7 @@ from wingraph.checkpoint import (
 from wingraph.cli import main
 from wingraph.data import synth_dataset
 from wingraph.metrics import evaluate_miou
-from wingraph.model import SegmenterConfig, build_model
+from wingraph.model import ConfigError, SegmenterConfig, build_model
 from wingraph.train import train
 
 TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
@@ -147,6 +147,26 @@ class TestCorruption:
         message = "'ba.squeeze' has shape [2, 4, 1, 1], model expects [4, 4, 1, 1]"
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path, dataclasses.replace(TOY, r_ba=1))
+
+    @pytest.mark.parametrize("config,message", [
+        (dataclasses.replace(TOY, enable_ba=False), "manifest mismatch: missing"),
+        (dataclasses.replace(TOY, r_ba=1), "manifest mismatch: 'ba.squeeze' has shape"),
+    ], ids=["names", "shapes"])
+    def test_mismatch_found_from_the_spec_before_any_build(self, trained, monkeypatch, config, message):
+        _, _, path = trained
+
+        def no_build(config):
+            raise AssertionError("a model was built before the manifest was checked")
+
+        monkeypatch.setattr("wingraph.checkpoint.build_model", no_build)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path, config)
+
+    def test_invalid_config_rejected_before_any_build(self, trained, monkeypatch):
+        _, _, path = trained
+        monkeypatch.setattr("wingraph.checkpoint.build_model", lambda config: pytest.fail("built"))
+        with pytest.raises(ConfigError, match="r_gr=3 does not divide"):
+            load_checkpoint(path, dataclasses.replace(TOY, r_gr=3))
 
     @pytest.mark.parametrize("layout", ["permuted", "gapped"])
     def test_entries_must_lie_back_to_back(self, trained, tmp_path, layout):

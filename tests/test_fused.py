@@ -74,7 +74,7 @@ def attention_chain(block: WindowAttention, x: Tensor, grid: WindowGrid) -> Tens
     q = matmul(tokens, block.wq)
     k = matmul(tokens, block.wk)
     v = matmul(tokens, block.wv)
-    att = softmax_rows(scalar_mul(matmul(q, transpose(k)), block.c ** -0.5))
+    att = softmax_rows(scalar_mul(matmul(q, transpose(k)), block.wq.shape[0] ** -0.5))
     return add(x, merge_tokens(matmul(att, v), grid))
 
 
@@ -88,7 +88,7 @@ def attention_chain(block: WindowAttention, x: Tensor, grid: WindowGrid) -> Tens
 def test_window_attention_equals_op_chain(c, m, n, h_w, w_w, seed):
     rng = np.random.default_rng(seed)
     grid = WindowGrid(c, m * h_w, n * w_w, m, n)
-    block = WindowAttention(c, rng, "attn")
+    block = WindowAttention.create(c, rng, "attn")
     for p in block.named_parameters():
         p.data = with_signed_zeros(rng, p.shape)
     x = Tensor(with_signed_zeros(rng, (c, grid.H, grid.W)), requires_grad=True)
