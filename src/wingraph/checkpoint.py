@@ -15,8 +15,9 @@ offset is the sum of the byte lengths before it, so the blob has no gaps,
 overlaps or reordered entries, and the file ends where the last entry's
 data ends.  The blob is the model's parameter arena: ``save_checkpoint``
 writes it in one piece and ``load_checkpoint`` reads it back in one piece.
-Every stored value must be finite.  Loading validates the whole file before
-touching the model, so a failed load leaves the model as built.
+Every stored value must be finite.  Loading validates the config and the
+whole file, names and shapes against ``param_spec(config)``, before it
+builds a model, so a failed load builds none.
 """
 
 from __future__ import annotations
