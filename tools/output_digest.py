@@ -20,9 +20,13 @@ finite-difference check too. Two more lines, ``train-out-toy-softmax`` and
 ``train-out-toy-cosine``, hash the file names and bytes of the directory
 that ``wingraph train --out`` writes for a short toy run of each relation
 variant: the arena update in ``train``, the checkpoint bytes, the loss
-curve, ``metrics.csv`` and ``report.json``. Only the public ``wingraph``
-API and its command-line entry point are used, so the script runs
-unchanged against two revisions of the package:
+curve, ``metrics.csv`` and ``report.json``. After each of them an
+``eval-toy-<variant>`` line hashes what ``wingraph eval`` prints on that
+run's checkpoint, and a last line, ``ablate-theta-toy``, hashes the stdout
+and the CSV file of a toy ``wingraph ablate theta`` run of as many steps
+(at 10 steps its five rows are all equal, so theta would go unseen). Only the
+public ``wingraph`` API and its command-line entry point are used, so the
+script runs unchanged against two revisions of the package:
 
     PYTHONPATH=old/src python3 tools/output_digest.py > old.txt
     PYTHONPATH=new/src python3 tools/output_digest.py > new.txt
@@ -118,18 +122,36 @@ def gradcheck_digest() -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def train_out_digest(variant: str) -> str:
-    """Hash the file names and bytes that a toy ``wingraph train --out`` run writes."""
+def run_cli(argv: list[str]) -> str:
+    """Run one ``wingraph`` command and return its stdout; a non-zero exit raises."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = wingraph_main(argv)
+    if code != 0:
+        raise RuntimeError(f"wingraph {argv[0]} exited {code}")
+    return out.getvalue()
+
+
+def train_out_digests(variant: str) -> tuple[str, str]:
+    """Hash the file names and bytes that a toy ``wingraph train --out`` run
+    writes, and what ``wingraph eval`` prints on its checkpoint."""
     h = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        code = wingraph_main(["train", "--out", out, "--override", f"relation_variant={variant}",
-                              "--override", f"steps={TRAIN_OUT_STEPS}"])
-        if code != 0:
-            raise RuntimeError(f"wingraph train exited {code}")
+    overrides = ["--override", f"relation_variant={variant}", "--override", f"steps={TRAIN_OUT_STEPS}"]
+    with tempfile.TemporaryDirectory() as out:
+        run_cli(["train", "--out", out, *overrides])
         for path in sorted(Path(out).iterdir()):
             h.update(path.name.encode() + b"\0")
             h.update(path.read_bytes())
-    return h.hexdigest()
+        printed = run_cli(["eval", "--checkpoint", str(Path(out) / "checkpoint.wgts"), *overrides])
+    return h.hexdigest(), hashlib.sha256(printed.encode()).hexdigest()
+
+
+def ablate_digest() -> str:
+    """Hash the stdout and the CSV file of a toy ``wingraph ablate theta`` run."""
+    with tempfile.TemporaryDirectory() as out:
+        printed = run_cli(["ablate", "theta", "--out", out, "--override", f"steps={TRAIN_OUT_STEPS}"])
+        csv = (Path(out) / "ablate_theta.csv").read_bytes()
+    return hashlib.sha256(printed.encode() + b"\0" + csv).hexdigest()
 
 
 def main() -> None:
@@ -137,7 +159,10 @@ def main() -> None:
         print(name, digest(*prepare(config)))
     print("gradcheck-all-seed0", gradcheck_digest())
     for variant in ("softmax", "cosine"):
-        print(f"train-out-toy-{variant}", train_out_digest(variant))
+        train_out, evaluated = train_out_digests(variant)
+        print(f"train-out-toy-{variant}", train_out)
+        print(f"eval-toy-{variant}", evaluated)
+    print("ablate-theta-toy", ablate_digest())
 
 
 if __name__ == "__main__":
