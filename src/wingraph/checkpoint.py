@@ -15,9 +15,9 @@ offset is the sum of the byte lengths before it, so the blob has no gaps,
 overlaps or reordered entries, and the file ends where the last entry's
 data ends.  The blob is the model's parameter arena: ``save_checkpoint``
 writes it in one piece and ``load_checkpoint`` reads it back in one piece.
-Every stored value must be finite.  Loading validates the config and the
-whole file, names and shapes against ``param_spec(config)``, before it
-builds a model, so a failed load builds none.
+Every stored value must be finite.  Loading checks the whole file, names
+and shapes against ``param_spec(config)``, before it builds a model, so a
+failed load builds none.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
     The manifest must name exactly the rows of ``param_spec(config)`` with
     matching shapes; any structural difference is a manifest mismatch.  Every
     value must be finite: the first entry, in manifest order, holding a NaN or
-    an infinity is named in the ``CheckpointError``.  The config and the whole
-    file are checked before a model is built.
+    an infinity is named in the ``CheckpointError``.  The whole file is
+    checked before a model is built.
     """
     try:
         with open(path, "rb") as f:
@@ -135,7 +135,6 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
     if have > needed:
         raise CheckpointError(f"trailing bytes: {have - needed} after the last blob entry")
 
-    config.validate()
     spec = param_spec(config)
     file_names = [e.name for e in entries]
     spec_names = [name for name, _, _ in spec]

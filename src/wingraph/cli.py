@@ -103,11 +103,9 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> Seg
             raise ConfigError(f"--override {item!r} must be KEY=VALUE")
         key, raw = item.split("=", 1)
         _set_key(values, key.strip(), raw, "--override")
-    config = SegmenterConfig(**values)
     if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    config.validate()
-    return config
+        values["seed"] = seed
+    return SegmenterConfig(**values)
 
 
 def format_config(config: SegmenterConfig) -> str:
@@ -131,19 +129,22 @@ def _emit_csv(csv_text: str, out: Path | None, filename: str) -> None:
         (out / filename).write_text(csv_text, encoding="ascii")
 
 
-def _datasets(config: SegmenterConfig):
+def _build_and_train(config: SegmenterConfig):
+    """(model, training report) of a model built and trained as ``config`` says."""
+    model = build_model(config)
     train_set = synth_dataset(config.dataset, config.dataset_size, config.H, config.W,
                               config.num_classes, config.seed)
+    return model, train(model, train_set, config.steps, config.lr)
+
+
+def _evaluate(model):
+    """(mIoU result, boundary band accuracy) on ``model.config``'s evaluation
+    set; the band accuracy is nan when no label map there has a class boundary."""
+    config = model.config
     eval_set = synth_dataset(config.dataset, config.dataset_size, config.H, config.W,
                              config.num_classes, config.seed + EVAL_SEED_OFFSET)
-    return train_set, eval_set
-
-
-def _evaluate(model, eval_set):
-    """(mIoU result, boundary band accuracy) on the evaluation set; the band
-    accuracy is nan when no evaluation label map has a class boundary."""
     pred, labels = predictions(model, eval_set)
-    result = miou(pred, labels, model.config.num_classes)
+    result = miou(pred, labels, config.num_classes)
     try:
         return result, boundary_band_accuracy(pred, labels, band=1)
     except EmptyBandError:
@@ -169,14 +170,12 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.override, args.seed)
     out = _out_dir(args.out)
-    model = build_model(config)
-    train_set, eval_set = _datasets(config)
-    report = train(model, train_set, config.steps, config.lr)
+    model, report = _build_and_train(config)
 
     save_checkpoint(model, out / "checkpoint.wgts")
     curve = "\n".join(["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(report.losses)]) + "\n"
     (out / "loss_curve.csv").write_text(curve, encoding="ascii")
-    result, boundary = _evaluate(model, eval_set)
+    result, boundary = _evaluate(model)
     write_iou_csv(out / "metrics.csv", result.per_class)
     summary = {
         "param_count": report.param_count,
@@ -202,8 +201,7 @@ def cmd_eval(args) -> int:
     config = load_config(args.config, args.override, args.seed)
     out = _out_dir(args.out) if args.out else None
     model = load_checkpoint(args.checkpoint, config)
-    _, eval_set = _datasets(config)
-    result, boundary = _evaluate(model, eval_set)
+    result, boundary = _evaluate(model)
     if out:
         write_iou_csv(out / "metrics.csv", result.per_class)
     print(f"eval mIoU {result.mean:.4f}, boundary band accuracy {boundary:.4f}")
@@ -225,16 +223,12 @@ def cmd_ablate(args) -> int:
     base = load_config(args.config, args.override, args.seed)
     settings = [(label, dataclasses.replace(base, **changes))
                 for label, changes in ABLATION_AXES[args.axis]]
-    for _, config in settings:
-        config.validate()
     out = _out_dir(args.out) if args.out else None
 
     lines = ["setting,miou,boundary_band_accuracy"]
     for label, config in settings:
-        model = build_model(config)
-        train_set, eval_set = _datasets(config)
-        train(model, train_set, config.steps, config.lr)
-        result, boundary = _evaluate(model, eval_set)
+        model, _ = _build_and_train(config)
+        result, boundary = _evaluate(model)
         lines.append(f"{label},{result.mean!r},{boundary!r}")
         print(lines[-1], file=sys.stderr)
     _emit_csv("\n".join(lines) + "\n", out, f"ablate_{args.axis}.csv")

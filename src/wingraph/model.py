@@ -44,13 +44,16 @@ class ConfigError(ValueError):
     """A segmenter configuration violates a named constraint."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmenterConfig:
     """Everything needed to build, train and evaluate one model.
 
     ``stages`` lists (attention blocks, M, N) per stage; M x N is that
     stage's window grid.  The enable flags switch the graph block and the
-    boundary gate independently so ablation grids can toggle them.
+    boundary gate independently so ablation grids can toggle them.  A config
+    is checked when it is made, by the constructor or ``dataclasses.replace``,
+    which raise ``ConfigError`` for the first rule it breaks; once made it
+    cannot change.
     """
 
     C: int = 16
@@ -73,7 +76,7 @@ class SegmenterConfig:
     steps: int = 500
     lr: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.C < 1:
             raise ConfigError(f"C must be positive, got {self.C}")
         if self.H < 1 or self.W < 1:
@@ -200,7 +203,6 @@ class Segmenter:
     """
 
     def __init__(self, config: SegmenterConfig):
-        config.validate()
         self.config = config
         self.arena, self.grad_arena, params = draw_parameters(
             param_spec(config), np.random.default_rng(config.seed))
@@ -263,8 +265,8 @@ class Segmenter:
 def param_spec(config: SegmenterConfig) -> list[SpecRow]:
     """Every parameter's (name, shape, init std) row, in ``parameters()`` order.
 
-    It depends on the config alone, which must be valid; a model's arena is
-    these rows drawn in order from the config seed (see ``draw_parameters``).
+    It depends on the config alone; a model's arena is these rows drawn in
+    order from the config seed (see ``draw_parameters``).
     """
     c = config.C
     rows = [("stem", (c, 3, 1, 1), 3 ** -0.5)]
@@ -282,7 +284,7 @@ def param_spec(config: SegmenterConfig) -> list[SpecRow]:
 
 
 def build_model(config: SegmenterConfig) -> Segmenter:
-    """Validate the config and deterministically initialise a model."""
+    """Deterministically initialise a model from the config."""
     return Segmenter(config)
 
 

@@ -18,7 +18,7 @@ from .tensor import Tensor, backward, cross_entropy_logits
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; the run is aborted with diagnostics."""
+    """Loss or gradient became non-finite; the run is aborted with diagnostics."""
 
 
 @dataclass
@@ -42,8 +42,8 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
     report = TrainingReport(param_count=model.param_count())
     # p.data -= lr * p.grad for every parameter at once, into one reused buffer
     update = np.empty_like(model.arena)
-    # A diverging run overflows to inf and nan; the loss check reports that as
-    # TrainingDiverged, so numpy's warnings about it would only repeat it.
+    # A diverging run overflows to inf and nan; the loss and gradient checks
+    # report that as TrainingDiverged, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(steps):
             image, labels = dataset[step % len(dataset)]
@@ -54,6 +54,10 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
                 raise TrainingDiverged(f"non-finite loss {value} at step {step} (lr={lr})")
             report.losses.append(value)
             backward(loss)
+            if not np.isfinite(model.grad_arena).all():
+                name = next(name for name, p in model.parameters().items()
+                            if not np.isfinite(p.grad).all())
+                raise TrainingDiverged(f"non-finite gradient of {name} at step {step} (lr={lr})")
             np.multiply(lr, model.grad_arena, out=update)
             model.arena -= update
     report.steps = steps

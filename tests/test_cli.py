@@ -35,7 +35,7 @@ def _divisor(n):
 
 @st.composite
 def valid_configs(draw):
-    """A SegmenterConfig that passes validate(), drawing a value for every field."""
+    """A valid SegmenterConfig, drawing a value for every field."""
     h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
     ratios = [draw(st.integers(1, 8)) for _ in range(3)]
     values = {
@@ -62,9 +62,7 @@ def valid_configs(draw):
     }
     # a new field must get a strategy here before this test passes
     assert set(values) == {f.name for f in dataclasses.fields(SegmenterConfig)}
-    config = SegmenterConfig(**values)
-    config.validate()
-    return config
+    return SegmenterConfig(**values)
 
 
 class TestConfigText:
@@ -100,6 +98,15 @@ class TestConfigText:
         path = tmp_path / "run.cfg"
         path.write_text("seed = 3\n")
         assert load_config(str(path), [], seed=11).seed == 11
+
+    def test_seed_flag_replaces_an_invalid_file_seed(self, tmp_path, capsys):
+        # --seed goes in before the config is made, so the file's seed is
+        # never checked on its own.
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = -1\n")
+        assert main(["train", "--config", str(path), "--seed", "5",
+                     "--out", str(tmp_path / "run")] + FAST) == 0
+        assert json.loads((tmp_path / "run" / "report.json").read_text())["seed"] == 5
 
 
 class TestGradcheckCommand:

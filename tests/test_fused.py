@@ -202,7 +202,7 @@ def branch_cases(draw):
         m = n = 1
     cfg = GraphConfig(variant=draw(st.sampled_from(_VARIANTS)), theta_coefficient=draw(coefficients))
     return branch_case(c, draw(st.sampled_from(ratios)), draw(st.sampled_from(ratios)), m, n, h_w, w_w,
-                       draw(st.integers(1, 2)), cfg, draw(st.integers(0, 2 ** 32 - 1)))
+                       draw(st.integers(1, 3)), cfg, draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @settings(max_examples=150, deadline=None)

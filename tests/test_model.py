@@ -24,7 +24,7 @@ TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
 
 class TestConfigValidation:
     def test_default_config_is_valid(self):
-        SegmenterConfig().validate()
+        SegmenterConfig()
 
     @pytest.mark.parametrize("field,value,message", [
         ("C", 0, "C must be positive"),
@@ -45,14 +45,29 @@ class TestConfigValidation:
         ("fusion", "gr_then_lr", "fusion"),
     ])
     def test_named_constraint_failures(self, field, value, message):
-        config = dataclasses.replace(SegmenterConfig(), **{field: value})
         with pytest.raises(ConfigError, match=message):
-            config.validate()
+            dataclasses.replace(SegmenterConfig(), **{field: value})
 
     def test_ratio_checks_skipped_when_modules_disabled(self):
-        config = dataclasses.replace(SegmenterConfig(), C=6, r_gr=4, r_lr=4, r_ba=4,
-                                     enable_gt=False, enable_ba=False)
-        config.validate()
+        dataclasses.replace(SegmenterConfig(), C=6, r_gr=4, r_lr=4, r_ba=4,
+                            enable_gt=False, enable_ba=False)
+
+    def test_invalid_config_cannot_be_made(self):
+        # Construction and dataclasses.replace both run the checks, so no
+        # invalid config reaches param_spec or model_param_count.
+        with pytest.raises(ConfigError, match=r"^r_gr=3 does not divide C=16$"):
+            SegmenterConfig(r_gr=3)
+        with pytest.raises(ConfigError, match=r"^C must be positive, got 0$"):
+            dataclasses.replace(SegmenterConfig(), C=0)
+
+    def test_built_model_config_is_frozen(self):
+        # The checks run once, at construction, so a model's config must not
+        # be able to change under its arena.  A copy of TOY keeps a failure
+        # here from reaching the other tests.
+        model = build_model(dataclasses.replace(TOY))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.config.C = 8
+        assert model.config.C == 4
 
 
 class TestBuildModel:

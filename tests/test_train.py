@@ -1,5 +1,7 @@
 """Training loop: determinism, overfitting, divergence handling."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,27 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match="step"):
                 train(model, toy_dataset(), steps=500, lr=1e4)
+
+    def test_non_finite_gradient_names_parameter_and_step(self, monkeypatch):
+        # The loss stays finite; only step 2's gradients of two weights are
+        # poisoned, and the earlier one in parameters() order is named.
+        model = build_model(TOY)
+        steps = []
+
+        def poisoned_backward(loss):
+            backward(loss)
+            if len(steps) == 2:
+                model.parameters()["stage0.attn0.wk"].grad[0, 1] = np.inf
+                model.parameters()["head"].grad[0, 0, 0, 0] = np.nan
+            steps.append(loss.item())
+
+        # the package's ``train`` attribute is the function, not the module
+        monkeypatch.setattr(importlib.import_module("wingraph.train"), "backward", poisoned_backward)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^non-finite gradient of stage0\.attn0\.wk at step 2 \(lr=0\.1\)$"):
+            train(model, toy_dataset(), steps=5, lr=0.1)
+        assert np.isfinite(steps).all()
+        assert np.isfinite(model.arena).all()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
