@@ -125,7 +125,7 @@ def gradcheck_digest() -> str:
 def run_cli(argv: list[str]) -> str:
     """Run one ``wingraph`` command and return its stdout; a non-zero exit raises."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out):
         code = wingraph_main(argv)
     if code != 0:
         raise RuntimeError(f"wingraph {argv[0]} exited {code}")
