@@ -24,7 +24,12 @@ curve, ``metrics.csv`` and ``report.json``. After each of them an
 ``eval-toy-<variant>`` line hashes what ``wingraph eval`` prints on that
 run's checkpoint, and a last line, ``ablate-theta-toy``, hashes the stdout
 and the CSV file of a toy ``wingraph ablate theta`` run of as many steps
-(at 10 steps its five rows are all equal, so theta would go unseen). Only the
+(at 10 steps its five rows are all equal, so theta would go unseen). Three
+closing lines, ``synth-blobs``, ``synth-stripes`` and ``synth-checker``, hash
+the images, label maps and label dtype that ``synth_dataset`` makes of each
+kind over a grid of sizes (1x1 and non-square ones among them), class counts
+and seeds, so every synthetic sample the other lines do not reach is
+covered too. Only the
 public ``wingraph`` API and its command-line entry point are used, so the
 script runs unchanged against two revisions of the package:
 
@@ -55,6 +60,10 @@ STEPS = 3
 LR = 1e-9
 UNSQUEEZE_STD = 0.01
 TRAIN_OUT_STEPS = 20
+SYNTH_SIZES = ((1, 1), (1, 6), (8, 8), (7, 12), (32, 32))
+SYNTH_CLASSES = (2, 3, 5)
+SYNTH_SEEDS = (0, 2 ** 40 + 7)
+SYNTH_SAMPLES = 4
 
 
 def configurations() -> list[tuple[str, SegmenterConfig]]:
@@ -154,6 +163,18 @@ def ablate_digest() -> str:
     return hashlib.sha256(printed.encode() + b"\0" + csv).hexdigest()
 
 
+def synth_digest(kind: str) -> str:
+    """Hash every image, label map and label dtype ``synth_dataset`` makes of ``kind``
+    over the size, class-count and seed grid."""
+    h = hashlib.sha256()
+    for (height, width), num_classes, seed in itertools.product(SYNTH_SIZES, SYNTH_CLASSES, SYNTH_SEEDS):
+        for image, labels in synth_dataset(kind, SYNTH_SAMPLES, height, width, num_classes, seed):
+            h.update(image.data.tobytes())
+            h.update(labels.tobytes())
+            h.update(labels.dtype.str.encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, config in configurations():
         print(name, digest(*prepare(config)))
@@ -163,6 +184,8 @@ def main() -> None:
         print(f"train-out-toy-{variant}", train_out)
         print(f"eval-toy-{variant}", evaluated)
     print("ablate-theta-toy", ablate_digest())
+    for kind in ("blobs", "stripes", "checker"):
+        print(f"synth-{kind}", synth_digest(kind))
 
 
 if __name__ == "__main__":
