@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Segmenter, SegmenterConfig, build_model, param_spec
+from .model import Segmenter, SegmenterConfig, param_spec
 
 MAGIC = b"WGTS"
 VERSION = 1
@@ -115,7 +115,7 @@ def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
 
 
 def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
-    """Build a model from ``config`` and fill its arena from the file's blob.
+    """Build a model from ``config`` over a copy of the file's blob, drawing no weights.
 
     The manifest must name exactly the rows of ``param_spec(config)`` with
     matching shapes; any structural difference is a manifest mismatch.  Every
@@ -152,6 +152,4 @@ def load_checkpoint(path, config: SegmenterConfig) -> Segmenter:
         ends = np.cumsum([e.length // 8 for e in entries])
         first = entries[int(np.searchsorted(ends, finite.argmin(), side="right"))]
         raise CheckpointError(f"entry {first.name!r} holds a NaN or an infinity")
-    model = build_model(config)
-    model.arena[...] = blob
-    return model
+    return Segmenter(config, blob.astype(np.float64))

@@ -45,9 +45,8 @@ def class_palette(num_classes: int) -> np.ndarray:
     ], axis=1)
 
 
-def render_image(labels: np.ndarray, num_classes: int, rng: np.random.Generator) -> np.ndarray:
+def render_image(labels: np.ndarray, palette: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Palette colour per pixel plus Gaussian noise; [3, H, W] float64."""
-    palette = class_palette(num_classes)
     img = palette[labels].transpose(2, 0, 1)
     return img + rng.normal(0.0, NOISE_SIGMA, img.shape)
 
@@ -70,28 +69,40 @@ def blob_discs(h: int, w: int, num_classes: int, rng: np.random.Generator) -> li
     """Sample the discs for one blobs sample.
 
     The first num_classes-1 discs cover every non-background class once;
-    any extras pick their class at random.
+    any extras pick their class at random.  Each disc's (cy, cx, radius) is
+    uniform on [0, h) x [0, w) x [min(h, w)/6, min(h, w)/3), mapped from
+    ``rng.random`` as ``low + (high - low) * u``, which is what
+    ``rng.uniform`` computes.  The stream is consumed disc by disc (an
+    extra disc's class, then its three values), as one ``rng.uniform`` call
+    per value would consume it, so the floats are the same.
     """
-    count = (num_classes - 1) + int(rng.integers(2, 5))
-    discs = []
-    for k in range(count):
-        cls = 1 + k if k < num_classes - 1 else int(rng.integers(1, num_classes))
-        cy = float(rng.uniform(0, h))
-        cx = float(rng.uniform(0, w))
-        radius = float(rng.uniform(min(h, w) / 6.0, min(h, w) / 3.0))
-        discs.append(Disc(cy, cx, radius, cls))
-    return discs
+    extra = int(rng.integers(2, 5))
+    low = np.array([0.0, 0.0, min(h, w) / 6.0])
+    high = np.array([h, w, min(h, w) / 3.0])
+    classes = list(range(1, num_classes))
+    draws = [rng.random((num_classes - 1, 3))]
+    for _ in range(extra):
+        classes.append(int(rng.integers(1, num_classes)))
+        draws.append(rng.random((1, 3)))
+    values = low + (high - low) * np.concatenate(draws)
+    return [Disc(cy, cx, radius, cls) for (cy, cx, radius), cls in zip(values.tolist(), classes)]
 
 
 def paint_discs(h: int, w: int, discs: list[Disc]) -> np.ndarray:
-    """Rasterise discs over background class 0; later discs win overlaps."""
-    labels = np.zeros((h, w), dtype=np.int64)
+    """Rasterise discs over background class 0; later discs win overlaps.
+
+    Pixel (y, x) is inside a disc when (y + .5 - cy)^2 + (x + .5 - cx)^2 <=
+    radius ** 2, with the radius squared as a Python float.  All discs are
+    tested in one [n, H, W] broadcast; each pixel takes the class of the
+    last disc that holds it.
+    """
     yy = np.arange(h)[:, None] + 0.5
     xx = np.arange(w)[None, :] + 0.5
-    for disc in discs:
-        inside = (yy - disc.cy) ** 2 + (xx - disc.cx) ** 2 <= disc.radius ** 2
-        labels[inside] = disc.class_id
-    return labels
+    per_disc = np.array([(d.cy, d.cx, d.radius ** 2) for d in discs]).reshape(-1, 3)
+    cy, cx, r2 = per_disc.T[:, :, None, None]
+    inside = (yy - cy) ** 2 + (xx - cx) ** 2 <= r2
+    last = (np.arange(1, len(discs) + 1)[:, None, None] * inside).max(axis=0, initial=0)
+    return np.array([0] + [d.class_id for d in discs], dtype=np.int64)[last]
 
 
 def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
@@ -102,6 +113,7 @@ def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     rng = np.random.default_rng(seed)
+    palette = class_palette(num_classes)
     samples = []
     for _ in range(n):
         if kind == "stripes":
@@ -110,5 +122,5 @@ def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
             labels = paint_discs(h, w, blob_discs(h, w, num_classes, rng))
         else:
             labels = checker_labels(h, w, num_classes)
-        samples.append((Tensor(render_image(labels, num_classes, rng)), labels))
+        samples.append((Tensor(render_image(labels, palette, rng)), labels))
     return samples

@@ -199,13 +199,16 @@ class Segmenter:
     """The assembled model; build via :func:`build_model`.
 
     Its parameters' values and gradients are views into two flat float64
-    arenas, ``arena`` and ``grad_arena``, in ``parameters()`` order.
+    arenas, ``arena`` and ``grad_arena``, in ``parameters()`` order.  Given
+    ``arena``, every value in ``param_spec(config)`` order, the model takes
+    it over as its own arena and draws nothing; otherwise it draws the
+    values from the config seed.
     """
 
-    def __init__(self, config: SegmenterConfig):
+    def __init__(self, config: SegmenterConfig, arena: np.ndarray | None = None):
         self.config = config
-        self.arena, self.grad_arena, params = draw_parameters(
-            param_spec(config), np.random.default_rng(config.seed))
+        rng = np.random.default_rng(config.seed) if arena is None else None
+        self.arena, self.grad_arena, params = draw_parameters(param_spec(config), rng, arena)
         self._params = OrderedDict((p.name, p) for p in params)
         # Each module takes its parameters in param_spec's order.
         take = iter(params)

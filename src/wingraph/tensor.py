@@ -147,19 +147,28 @@ class Parameter(Tensor):
 SpecRow = tuple[str, tuple[int, ...], float]
 
 
-def draw_parameters(spec: list[SpecRow], rng: np.random.Generator):
-    """Fresh flat ``(arena, grad_arena, parameters)`` for ``spec``'s rows, in order.
+def draw_parameters(spec: list[SpecRow], rng: np.random.Generator | None,
+                    arena: np.ndarray | None = None):
+    """Flat ``(arena, grad_arena, parameters)`` for ``spec``'s rows, in order.
 
-    Each parameter owns its row's slices of the two zeroed arenas.  A row is drawn
-    straight into its slice as ``std`` times standard normals, as ``rng.normal(0,
-    std, shape)`` draws it; a row with std 0 stays zero and takes no draws.
+    Each parameter owns its row's slices of the arena and of a zeroed
+    gradient arena.  Without ``arena``, a zeroed one is made and each row is
+    drawn straight into its slice as ``std`` times standard normals, as
+    ``rng.normal(0, std, shape)`` draws it; a row with std 0 stays zero and
+    takes no draws.  A given ``arena``, one float64 value per spec element,
+    is taken over as it is and nothing is drawn.
     """
     sizes = [math.prod(shape) for _, shape, _ in spec]
-    arena, grad_arena = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+    total, drawn = sum(sizes), arena is None
+    if drawn:
+        arena = np.zeros(total)
+    elif arena.shape != (total,) or arena.dtype != np.float64:
+        raise ValueError(f"arena must be {total} float64 values, got {arena.dtype} {list(arena.shape)}")
+    grad_arena = np.zeros(total)
     params, start = [], 0
     for (name, shape, std), size in zip(spec, sizes):
         data = arena[start:start + size]
-        if std:
+        if drawn and std:
             rng.standard_normal(out=data)
             data *= std
         p = Parameter(data.reshape(shape), name)

@@ -7,7 +7,6 @@ everything else is fast.
 """
 
 import dataclasses
-import math
 import multiprocessing
 import time
 

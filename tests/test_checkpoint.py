@@ -155,16 +155,16 @@ class TestCorruption:
     def test_mismatch_found_from_the_spec_before_any_build(self, trained, monkeypatch, config, message):
         _, _, path = trained
 
-        def no_build(config):
+        def no_build(config, arena):
             raise AssertionError("a model was built before the manifest was checked")
 
-        monkeypatch.setattr("wingraph.checkpoint.build_model", no_build)
+        monkeypatch.setattr("wingraph.checkpoint.Segmenter", no_build)
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path, config)
 
     def test_invalid_config_rejected_before_any_build(self, trained, monkeypatch):
         _, _, path = trained
-        monkeypatch.setattr("wingraph.checkpoint.build_model", lambda config: pytest.fail("built"))
+        monkeypatch.setattr("wingraph.checkpoint.Segmenter", lambda config, arena: pytest.fail("built"))
         with pytest.raises(ConfigError, match="r_gr=3 does not divide"):
             load_checkpoint(path, dataclasses.replace(TOY, r_gr=3))
 

@@ -10,7 +10,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st

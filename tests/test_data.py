@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wingraph.data import (
+    DATASET_KINDS,
+    NOISE_SIGMA,
     Disc,
     blob_discs,
     checker_labels,
     class_palette,
     paint_discs,
+    render_image,
     stripe_labels,
     synth_dataset,
 )
@@ -41,8 +46,6 @@ class TestBlobs:
     def test_replay_oracle_matches_painted_labels(self):
         # replay the sampling stream and rasterise per pixel, later discs
         # overwriting earlier ones
-        from wingraph.data import render_image
-
         h, w, ncls, seed = 10, 12, 3, 7
         samples = synth_dataset("blobs", 2, h, w, ncls, seed)
         replay = np.random.default_rng(seed)
@@ -55,7 +58,7 @@ class TestBlobs:
                         if (y + 0.5 - disc.cy) ** 2 + (x + 0.5 - disc.cx) ** 2 <= disc.radius ** 2:
                             expected[y, x] = disc.class_id
             assert np.array_equal(labels, expected)
-            render_image(expected, ncls, replay)  # keep the replay stream in sync
+            render_image(expected, class_palette(ncls), replay)  # keep the replay stream in sync
 
     def test_histogram_matches_paint_counts(self):
         h, w, ncls = 9, 9, 4
@@ -72,6 +75,11 @@ class TestBlobs:
         labels = paint_discs(5, 5, discs)
         assert labels[2, 2] == 2
         assert labels[0, 2] == 1
+
+    def test_no_discs_paint_all_background(self):
+        labels = paint_discs(3, 4, [])
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, np.zeros((3, 4), dtype=np.int64))
 
 
 class TestChecker:
@@ -96,3 +104,45 @@ class TestRendering:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset kind"):
             synth_dataset("noise", 1, 8, 8, 2, 0)
+
+
+def reference_synth(kind, n, h, w, num_classes, seed):
+    """The per-value reference: one ``rng.uniform`` per disc coordinate, one
+    masked assignment per disc and a palette per sample."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n):
+        if kind == "stripes":
+            labels = stripe_labels(h, w, num_classes, phase=int(rng.integers(0, h)))
+        elif kind == "blobs":
+            discs = []
+            for k in range((num_classes - 1) + int(rng.integers(2, 5))):
+                cls = 1 + k if k < num_classes - 1 else int(rng.integers(1, num_classes))
+                cy = float(rng.uniform(0, h))
+                cx = float(rng.uniform(0, w))
+                radius = float(rng.uniform(min(h, w) / 6.0, min(h, w) / 3.0))
+                discs.append((cy, cx, radius, cls))
+            labels = np.zeros((h, w), dtype=np.int64)
+            yy = np.arange(h)[:, None] + 0.5
+            xx = np.arange(w)[None, :] + 0.5
+            for cy, cx, radius, cls in discs:
+                labels[(yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2] = cls
+        else:
+            labels = checker_labels(h, w, num_classes)
+        img = class_palette(num_classes)[labels].transpose(2, 0, 1)
+        samples.append((img + rng.normal(0.0, NOISE_SIGMA, img.shape), labels))
+    return samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(DATASET_KINDS), n=st.integers(1, 4), h=st.integers(1, 24),
+       w=st.integers(1, 24), num_classes=st.integers(2, 7), seed=st.integers(0, 2 ** 40))
+@example(kind="blobs", n=3, h=1, w=1, num_classes=7, seed=2 ** 40)
+@example(kind="blobs", n=2, h=7, w=12, num_classes=2, seed=0)
+def test_synth_dataset_matches_the_per_value_reference(kind, n, h, w, num_classes, seed):
+    got = synth_dataset(kind, n, h, w, num_classes, seed)
+    want = reference_synth(kind, n, h, w, num_classes, seed)
+    for (image, labels), (ref_image, ref_labels) in zip(got, want, strict=True):
+        assert image.data.dtype == ref_image.dtype and labels.dtype == ref_labels.dtype
+        assert image.data.tobytes() == ref_image.tobytes()
+        assert labels.tobytes() == ref_labels.tobytes()

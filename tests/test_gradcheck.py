@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import wingraph.gradcheck as gradcheck
 from wingraph import tensor
 from wingraph.gradcheck import (
     SCOPES,

@@ -8,6 +8,7 @@ import pytest
 from wingraph.checkpoint import load_checkpoint, save_checkpoint
 from wingraph.model import (
     ConfigError,
+    Segmenter,
     SegmenterConfig,
     baseline_param_count,
     build_model,
@@ -255,6 +256,16 @@ class TestParameterArena:
         train(model, synth_dataset("stripes", 2, 4, 4, 2, 0), steps=3, lr=0.1)
         assert_in_arenas(model)
         assert not np.array_equal(model.arena, before)
+
+    def test_given_arena_is_taken_over_without_draws(self):
+        values = np.arange(model_param_count(TOY), dtype=np.float64)
+        model = Segmenter(TOY, values)
+        assert model.arena is values
+        assert model.arena.tobytes() == np.arange(values.size, dtype=np.float64).tobytes()
+        assert_in_arenas(model)
+        for bad in (values[:-1], values.astype(np.float32)):
+            with pytest.raises(ValueError, match="arena must be"):
+                Segmenter(TOY, bad)
 
     def test_checkpoint_loads_into_the_arena_and_trains(self, tmp_path):
         trained = build_model(TOY)
