@@ -22,14 +22,14 @@ that ``wingraph train --out`` writes for a short toy run of each relation
 variant: the arena update in ``train``, the checkpoint bytes, the loss
 curve, ``metrics.csv`` and ``report.json``. After each of them an
 ``eval-toy-<variant>`` line hashes what ``wingraph eval`` prints on that
-run's checkpoint, and a last line, ``ablate-theta-toy``, hashes the stdout
+run's checkpoint, and then ``ablate-theta-toy`` hashes the stdout
 and the CSV file of a toy ``wingraph ablate theta`` run of as many steps
 (at 10 steps its five rows are all equal, so theta would go unseen). Three
 closing lines, ``synth-blobs``, ``synth-stripes`` and ``synth-checker``, hash
 the images, label maps and label dtype that ``synth_dataset`` makes of each
 kind over a grid of sizes (1x1 and non-square ones among them), class counts
-and seeds, so every synthetic sample the other lines do not reach is
-covered too. Only the
+and seeds, so data the model lines never draw (checker, other sizes and
+class counts) is pinned too. Only the
 public ``wingraph`` API and its command-line entry point are used, so the
 script runs unchanged against two revisions of the package:
 
