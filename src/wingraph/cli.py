@@ -113,20 +113,25 @@ def format_config(config: SegmenterConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _out_dir(out: str) -> Path:
-    """Create the output directory; commands do so before their work."""
+def _out_files(out: str, *names: str) -> list[Path]:
+    """Create the output directory ``out`` and return the paths of the files ``names`` there,
+    refusing one that is a directory; commands do so before their work."""
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return Path(out)
+    paths = [Path(out) / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+    return paths
 
 
-def _emit_csv(csv_text: str, out: Path | None, filename: str) -> None:
-    """Print CSV text and, when an output directory is given, write it there."""
+def _emit_csv(csv_text: str, path: Path | None) -> None:
+    """Print CSV text and, when a path is given, write it there."""
     print(csv_text, end="")
-    if out:
-        (out / filename).write_text(csv_text, encoding="ascii")
+    if path:
+        path.write_text(csv_text, encoding="ascii")
 
 
 def _build_and_train(config: SegmenterConfig):
@@ -152,12 +157,12 @@ def _evaluate(model):
 
 
 def cmd_gradcheck(args) -> int:
-    out = _out_dir(args.out) if args.out else None
+    csv_path = _out_files(args.out, "gradcheck.csv")[0] if args.out else None
     seeds = [args.seed + i for i in range(GRADCHECK_SEEDS)]
     results = run_gradcheck(args.scope, seeds)
     lines = ["op,max_rel_err,samples"]
     lines += [f"{r.op},{r.max_rel_err:.3e},{r.samples}" for r in results]
-    _emit_csv("\n".join(lines) + "\n", out, "gradcheck.csv")
+    _emit_csv("\n".join(lines) + "\n", csv_path)
     failed = [r for r in results if not r.passed]
     if failed:
         for r in failed:
@@ -169,14 +174,15 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config, args.override, args.seed)
-    out = _out_dir(args.out)
+    checkpoint, curve_path, metrics_path, report_path = _out_files(
+        args.out, "checkpoint.wgts", "loss_curve.csv", "metrics.csv", "report.json")
     model, report = _build_and_train(config)
 
-    save_checkpoint(model, out / "checkpoint.wgts")
+    save_checkpoint(model, checkpoint)
     curve = "\n".join(["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(report.losses)]) + "\n"
-    (out / "loss_curve.csv").write_text(curve, encoding="ascii")
+    curve_path.write_text(curve, encoding="ascii")
     result, boundary = _evaluate(model)
-    write_iou_csv(out / "metrics.csv", result.per_class)
+    write_iou_csv(metrics_path, result.per_class)
     summary = {
         "param_count": report.param_count,
         "steps": report.steps,
@@ -190,8 +196,7 @@ def cmd_train(args) -> int:
     # 0-step run) is written as null.
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in summary.items()}
-    (out / "report.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n",
-                                     encoding="ascii")
+    report_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="ascii")
     print(f"trained {report.param_count} params for {report.steps} steps: "
           f"loss {report.final_loss:.4f}, eval mIoU {result.mean:.4f}")
     return 0
@@ -199,11 +204,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.override, args.seed)
-    out = _out_dir(args.out) if args.out else None
+    metrics_path = _out_files(args.out, "metrics.csv")[0] if args.out else None
     model = load_checkpoint(args.checkpoint, config)
     result, boundary = _evaluate(model)
-    if out:
-        write_iou_csv(out / "metrics.csv", result.per_class)
+    if metrics_path:
+        write_iou_csv(metrics_path, result.per_class)
     print(f"eval mIoU {result.mean:.4f}, boundary band accuracy {boundary:.4f}")
     return 0
 
@@ -223,7 +228,7 @@ def cmd_ablate(args) -> int:
     base = load_config(args.config, args.override, args.seed)
     settings = [(label, dataclasses.replace(base, **changes))
                 for label, changes in ABLATION_AXES[args.axis]]
-    out = _out_dir(args.out) if args.out else None
+    csv_path = _out_files(args.out, f"ablate_{args.axis}.csv")[0] if args.out else None
 
     lines = ["setting,miou,boundary_band_accuracy"]
     for label, config in settings:
@@ -231,7 +236,7 @@ def cmd_ablate(args) -> int:
         result, boundary = _evaluate(model)
         lines.append(f"{label},{result.mean!r},{boundary!r}")
         print(lines[-1], file=sys.stderr)
-    _emit_csv("\n".join(lines) + "\n", out, f"ablate_{args.axis}.csv")
+    _emit_csv("\n".join(lines) + "\n", csv_path)
     return 0
 
 
@@ -250,9 +255,9 @@ def cmd_bench(args) -> int:
             or not all(map(math.isfinite, cs)):
         raise ConfigError(f"bench needs non-empty K, D and c lists, K, D, repeats >= 1 and finite c; "
                           f"got K={ks} D={ds} c={cs} repeats={args.repeats}")
-    out = _out_dir(args.out) if args.out else None
+    csv_path = _out_files(args.out, "bench.csv")[0] if args.out else None
     rows = run_benchmark(ks, ds, cs, repeats=args.repeats, seed=args.seed)
-    _emit_csv(format_csv(rows), out, "bench.csv")
+    _emit_csv(format_csv(rows), csv_path)
     bad = [row for row in rows if row.max_abs_diff != 0.0]
     if bad:
         for row in bad:

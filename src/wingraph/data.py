@@ -15,24 +15,12 @@ function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Tensor
 
 NOISE_SIGMA = 0.2
 DATASET_KINDS = ("stripes", "blobs", "checker")
-
-
-@dataclass(frozen=True)
-class Disc:
-    """One painted blob: centre, radius and class id."""
-
-    cy: float
-    cx: float
-    radius: float
-    class_id: int
 
 
 def class_palette(num_classes: int) -> np.ndarray:
@@ -65,8 +53,10 @@ def checker_labels(h: int, w: int, num_classes: int) -> np.ndarray:
     return ((yy + xx) % num_classes).astype(np.int64)
 
 
-def blob_discs(h: int, w: int, num_classes: int, rng: np.random.Generator) -> list[Disc]:
-    """Sample the discs for one blobs sample.
+def blob_discs(h: int, w: int, num_classes: int,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the discs for one blobs sample: their [n, 3] (cy, cx, radius)
+    array and their [n] int64 class ids.
 
     The first num_classes-1 discs cover every non-background class once;
     any extras pick their class at random.  Each disc's (cy, cx, radius) is
@@ -84,12 +74,12 @@ def blob_discs(h: int, w: int, num_classes: int, rng: np.random.Generator) -> li
     for _ in range(extra):
         classes.append(int(rng.integers(1, num_classes)))
         draws.append(rng.random((1, 3)))
-    values = low + (high - low) * np.concatenate(draws)
-    return [Disc(cy, cx, radius, cls) for (cy, cx, radius), cls in zip(values.tolist(), classes)]
+    return low + (high - low) * np.concatenate(draws), np.array(classes, dtype=np.int64)
 
 
-def paint_discs(h: int, w: int, discs: list[Disc]) -> np.ndarray:
-    """Rasterise discs over background class 0; later discs win overlaps.
+def paint_discs(h: int, w: int, discs: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Rasterise ``discs``, [n, 3] (cy, cx, radius), of class ids ``classes``
+    over background class 0; later discs win overlaps.
 
     Pixel (y, x) is inside a disc when (y + .5 - cy)^2 + (x + .5 - cx)^2 <=
     radius ** 2, with the radius squared as a Python float.  All discs are
@@ -98,11 +88,11 @@ def paint_discs(h: int, w: int, discs: list[Disc]) -> np.ndarray:
     """
     yy = np.arange(h)[:, None] + 0.5
     xx = np.arange(w)[None, :] + 0.5
-    per_disc = np.array([(d.cy, d.cx, d.radius ** 2) for d in discs]).reshape(-1, 3)
-    cy, cx, r2 = per_disc.T[:, :, None, None]
+    cy, cx = discs[:, :2].T[:, :, None, None]
+    r2 = np.array([r ** 2 for r in discs[:, 2].tolist()])[:, None, None]
     inside = (yy - cy) ** 2 + (xx - cx) ** 2 <= r2
     last = (np.arange(1, len(discs) + 1)[:, None, None] * inside).max(axis=0, initial=0)
-    return np.array([0] + [d.class_id for d in discs], dtype=np.int64)[last]
+    return np.concatenate(([0], classes))[last]
 
 
 def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
@@ -119,7 +109,7 @@ def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
         if kind == "stripes":
             labels = stripe_labels(h, w, num_classes, phase=int(rng.integers(0, h)))
         elif kind == "blobs":
-            labels = paint_discs(h, w, blob_discs(h, w, num_classes, rng))
+            labels = paint_discs(h, w, *blob_discs(h, w, num_classes, rng))
         else:
             labels = checker_labels(h, w, num_classes)
         samples.append((Tensor(render_image(labels, palette, rng)), labels))

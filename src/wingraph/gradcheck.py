@@ -71,8 +71,7 @@ def check_gradients(name: str, build_loss, leaves: list[T.Tensor],
     analytic = [leaf.grad.reshape(-1).copy() if leaf.grad is not None
                 else np.zeros(leaf.data.size) for leaf in leaves]
 
-    worst = 0.0
-    samples = 0
+    errors = []
     for leaf, grads in zip(leaves, analytic):
         flat = leaf.data.reshape(-1)
         if max_entries is None or flat.size <= max_entries:
@@ -87,9 +86,8 @@ def check_gradients(name: str, build_loss, leaves: list[T.Tensor],
             f_minus = build_loss().item()
             flat[i] = original
             numeric = (f_plus - f_minus) / (2.0 * STEP)
-            worst = max(worst, relative_error(grads[i], numeric))
-            samples += 1
-    return CheckResult(name, worst, samples)
+            errors.append(relative_error(grads[i], numeric))
+    return CheckResult(name, float(np.max(errors, initial=0.0)), len(errors))
 
 
 def _leaf(rng: np.random.Generator, shape) -> T.Tensor:
@@ -245,13 +243,10 @@ def run_scope(scope: str, seed: int) -> list[CheckResult]:
 
 def run_gradcheck(scope: str, seeds: list[int]) -> list[CheckResult]:
     """Aggregate the worst error per op over several seeds."""
-    merged: dict[str, CheckResult] = {}
+    by_op: dict[str, list[CheckResult]] = {}
     for seed in seeds:
         for result in run_scope(scope, seed):
-            held = merged.get(result.op)
-            if held is None:
-                merged[result.op] = CheckResult(result.op, result.max_rel_err, result.samples)
-            else:
-                held.max_rel_err = max(held.max_rel_err, result.max_rel_err)
-                held.samples += result.samples
-    return list(merged.values())
+            by_op.setdefault(result.op, []).append(result)
+    return [CheckResult(op, float(np.max([r.max_rel_err for r in results])),
+                        sum(r.samples for r in results))
+            for op, results in by_op.items()]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -78,20 +78,12 @@ class RelationParams:
         return [self.squeeze, self.unsqueeze, *self.graph]
 
 
-@cache
-def _squeezed_moves(channels: int, grid: WindowGrid, layout: str):
-    """``grid`` with ``channels`` channels, and its moves to ``layout`` and back."""
-    sub = WindowGrid(channels, grid.H, grid.W, grid.M, grid.N)
-    return sub, _layout_moves(sub, layout)
-
-
 def _correction(xd: np.ndarray, grid: WindowGrid, params: RelationParams, layout: str,
                 cfg: GraphConfig):
     """A branch's correction of raw ``xd`` and its pullback to (x, *params.named_parameters());
     ``layout`` is "nodes" for the global view, "tokens" for the local one."""
-    sub, (there, back) = _squeezed_moves(params.squeeze.shape[0], grid, layout)
+    there, back = _layout_moves(grid, layout, params.squeeze.shape[0])
     squeezed, squeeze_pb = _conv2d(xd, params.squeeze.data)
-    _check_map(squeezed, sub)
     nodes = np.ascontiguousarray(_regroup_data(squeezed, *there))
     round_pbs = []
     for w in params.graph:
@@ -114,6 +106,7 @@ def _correction(xd: np.ndarray, grid: WindowGrid, params: RelationParams, layout
 def _residual(x: Tensor, grid: WindowGrid, branches: list[tuple[RelationParams, str]],
               cfg: GraphConfig) -> Tensor:
     """``x`` plus the corrections of ``branches``, (params, layout) pairs, as one tape op."""
+    _check_map(x, grid)
     corrections = [_correction(x.data, grid, params, layout, cfg) for params, layout in branches]
 
     def _bw(g):

@@ -5,8 +5,7 @@ enough information to run the backward pass:  an op output keeps references
 to its parents and a closure that maps the output gradient to the parent
 gradients.  ``backward(loss)`` walks the tape in reverse topological order
 and passes gradients through every op, but stores ``.grad`` only on leaves
-(``Parameter``s and ``requires_grad`` inputs) and on intermediates whose
-slot already holds an array, which a caller opts in with ``zero_grad()``.
+(``Parameter``s and ``requires_grad`` inputs).
 The tape is kept after ``backward``, so calling it again accumulates again.
 An op records tape links only when some parent has ``requires_grad``; that
 gate is how inference (``Segmenter.predict``) runs without a tape.
@@ -63,9 +62,8 @@ class Tensor:
 
     ``data`` is always a C-contiguous float64 ndarray.  ``grad`` is either
     None or an ndarray of the same shape; ``backward`` accumulates into it
-    on leaves, and on an op output only once ``zero_grad()`` has opted it in.
-    Tensors created by operations carry the tape links (``_parents`` and
-    ``_backward``) needed for reverse-mode differentiation.
+    on leaves only.  Tensors created by operations carry the tape links
+    (``_parents`` and ``_backward``) needed for reverse-mode differentiation.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -92,11 +90,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        """Reset the gradient slot to an explicit all-zero array.
-
-        On an op output this also opts it in: later ``backward`` calls
-        accumulate its gradient too.
-        """
+        """Reset the gradient slot to an explicit all-zero array."""
         self.grad = np.zeros(self.data.shape)
 
     def __repr__(self) -> str:
@@ -189,14 +183,13 @@ def _op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for the tensors that keep one.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf ``t``.
 
     Gradients flow through every op on the tape, but only leaves (tensors
-    with no ``_backward``: ``Parameter``s and ``requires_grad`` inputs) and
-    tensors whose ``grad`` already holds an array store them; op outputs
-    keep ``grad is None`` unless opted in with ``zero_grad()``.  ``loss``
-    must hold a single element.  Repeated calls without a gradient reset
-    keep accumulating, matching the usual autograd contract.
+    with no ``_backward``: ``Parameter``s and ``requires_grad`` inputs)
+    store them; op outputs keep ``grad is None``.  ``loss`` must hold a
+    single element.  Repeated calls without a gradient reset keep
+    accumulating, matching the usual autograd contract.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
@@ -228,8 +221,6 @@ def backward(loss: Tensor) -> None:
                 node.grad = grad = np.zeros(node.data.shape)
             grad += g
             continue
-        if node.grad is not None:
-            node.grad += g
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue

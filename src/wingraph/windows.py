@@ -58,25 +58,26 @@ def _check_map(x: Tensor, grid: WindowGrid) -> None:
 # order of those axes, with the window (M, N) axes leading, and one shape.
 _LAYOUTS = {
     # [K, C, h_w, w_w]: channel-major window blocks
-    "blocks": ((1, 3, 0, 2, 4), lambda g: (g.num_nodes, g.C, g.h_w, g.w_w)),
+    "blocks": ((1, 3, 0, 2, 4), lambda g, c: (g.num_nodes, c, g.h_w, g.w_w)),
     # [K, C*h_w*w_w]: each window one graph node
-    "nodes": ((1, 3, 0, 2, 4), lambda g: (g.num_nodes, g.C * g.h_w * g.w_w)),
+    "nodes": ((1, 3, 0, 2, 4), lambda g, c: (g.num_nodes, c * g.h_w * g.w_w)),
     # [K, h_w*w_w, C]: each window's pixels as rows of C features
-    "tokens": ((1, 3, 2, 4, 0), lambda g: (g.num_nodes, g.h_w * g.w_w, g.C)),
+    "tokens": ((1, 3, 2, 4, 0), lambda g, c: (g.num_nodes, g.h_w * g.w_w, c)),
 }
 
 _Moves = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @cache
-def _layout_moves(grid: WindowGrid, layout: str) -> tuple[_Moves, _Moves]:
-    """The :func:`_regroup_data` arguments that take a [C, H, W] map to
-    ``layout`` and the ones that take it back."""
+def _layout_moves(grid: WindowGrid, layout: str, channels: int | None = None) -> tuple[_Moves, _Moves]:
+    """The :func:`_regroup_data` arguments that take a [channels, H, W] map
+    (``grid.C`` channels by default) to ``layout`` and the ones that take it back."""
+    c = grid.C if channels is None else channels
     axes, shape = _LAYOUTS[layout]
-    split = (grid.C, grid.M, grid.h_w, grid.N, grid.w_w)
+    split = (c, grid.M, grid.h_w, grid.N, grid.w_w)
     back = (tuple(split[a] for a in axes), tuple(axes.index(a) for a in range(len(axes))),
-            (grid.C, grid.H, grid.W))
-    return (split, axes, shape(grid)), back
+            (c, grid.H, grid.W))
+    return (split, axes, shape(grid, c)), back
 
 
 def _regroup_data(a: np.ndarray, split: tuple[int, ...], axes: tuple[int, ...],

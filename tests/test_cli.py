@@ -10,15 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wingraph import tensor
+from wingraph.checkpoint import save_checkpoint
 from wingraph.cli import format_config, load_config, main, parse_config_text
 from wingraph.data import DATASET_KINDS
 from wingraph.graph import _VARIANTS
-from wingraph.model import ConfigError, Segmenter, SegmenterConfig
+from wingraph.model import ConfigError, Segmenter, SegmenterConfig, build_model
 from wingraph.relation import FusionType
 
 FAST = ["--override", "C=4", "--override", "H=4", "--override", "W=4",
@@ -116,20 +118,23 @@ class TestGradcheckCommand:
         assert lines[0] == "op,max_rel_err,samples"
         assert any(line.startswith("matmul,") for line in lines)
 
-    def test_corrupted_gradient_exits_one_naming_op(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda p: p * 1.1, "FAIL gelu: max relative error "),
+        (lambda p: np.full_like(p, np.nan), "FAIL gelu: max relative error nan"),
+    ], ids=["scaled", "all_nan"])
+    def test_corrupted_gradient_exits_one_naming_op(self, corrupt, message, capsys, monkeypatch):
         real = tensor.gelu
 
         def corrupted(x):
             out = real(x)
             if out._backward is not None:
                 original = out._backward
-                out._backward = lambda g: tuple(p * 1.1 for p in original(g))
+                out._backward = lambda g: tuple(corrupt(p) for p in original(g))
             return out
 
         monkeypatch.setattr(tensor, "gelu", corrupted)
         assert main(["gradcheck", "tensor_ops"]) == 1
-        err = capsys.readouterr().err
-        assert "FAIL gelu" in err
+        assert message in capsys.readouterr().err
 
     def test_writes_csv_file(self, tmp_path, capsys):
         assert main(["gradcheck", "gr", "--out", str(tmp_path)]) == 0
@@ -353,6 +358,31 @@ def _file_as_out(command):
     return case
 
 
+def _dir_as_file(command, name):
+    """``command`` writing to an ``--out`` directory that holds a directory named ``name``."""
+    def case(tmp_path):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        return command + ["--out", str(tmp_path / "out")]
+    return case
+
+
+def _eval_command(tmp_path):
+    """``eval`` of a readable checkpoint of the default model, so that a run reaches its write."""
+    path = tmp_path / "default.wgts"
+    save_checkpoint(build_model(SegmenterConfig()), path)
+    return ["eval", "--checkpoint", str(path)]
+
+
+def _config_line_without_equals(tmp_path):
+    path = tmp_path / "no_equals.cfg"
+    path.write_text("C 4\n")
+    return ["train", "--config", str(path)]
+
+
+def _bad_override(item):
+    return lambda tmp_path: ["train", "--override", item, "--out", str(tmp_path / "out")]
+
+
 UNREADABLE_INPUTS = {
     "missing_config": lambda tmp_path: ["train", "--config", str(tmp_path / "missing.cfg")],
     "non_utf8_config": _non_utf8_config,
@@ -377,6 +407,19 @@ UNREADABLE_INPUTS = {
     "gradcheck_out_is_a_file": _file_as_out(["gradcheck", "gr"]),
     "ablate_out_is_a_file": _file_as_out(["ablate", "theta"]),
     "bench_out_is_a_file": _file_as_out(["bench"]),
+    "eval_out_is_a_file": lambda tmp_path: _file_as_out(_eval_command(tmp_path))(tmp_path),
+    **{f"train_{name.replace('.', '_')}_is_a_directory": _dir_as_file(["train"], name)
+       for name in ("checkpoint.wgts", "loss_curve.csv", "metrics.csv", "report.json")},
+    "eval_metrics_csv_is_a_directory": lambda tmp_path: _dir_as_file(
+        _eval_command(tmp_path), "metrics.csv")(tmp_path),
+    "gradcheck_csv_is_a_directory": _dir_as_file(["gradcheck", "gr"], "gradcheck.csv"),
+    "ablate_csv_is_a_directory": _dir_as_file(["ablate", "theta"], "ablate_theta.csv"),
+    "bench_csv_is_a_directory": _dir_as_file(["bench"], "bench.csv"),
+    "bool_override_not_a_bool": _bad_override("enable_gt=maybe"),
+    "stages_override_not_three_numbers": _bad_override("stages=2x2"),
+    "config_line_without_equals": _config_line_without_equals,
+    "override_without_equals": _bad_override("C"),
+    "unknown_fusion_override": _bad_override("fusion=diagonal"),
 }
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from wingraph.data import (
     DATASET_KINDS,
     NOISE_SIGMA,
-    Disc,
     blob_discs,
     checker_labels,
     class_palette,
@@ -50,34 +49,34 @@ class TestBlobs:
         samples = synth_dataset("blobs", 2, h, w, ncls, seed)
         replay = np.random.default_rng(seed)
         for _, labels in samples:
-            discs = blob_discs(h, w, ncls, replay)
+            discs, classes = blob_discs(h, w, ncls, replay)
             expected = np.zeros((h, w), dtype=np.int64)
-            for disc in discs:
+            for (cy, cx, radius), class_id in zip(discs.tolist(), classes.tolist()):
                 for y in range(h):
                     for x in range(w):
-                        if (y + 0.5 - disc.cy) ** 2 + (x + 0.5 - disc.cx) ** 2 <= disc.radius ** 2:
-                            expected[y, x] = disc.class_id
+                        if (y + 0.5 - cy) ** 2 + (x + 0.5 - cx) ** 2 <= radius ** 2:
+                            expected[y, x] = class_id
             assert np.array_equal(labels, expected)
             render_image(expected, class_palette(ncls), replay)  # keep the replay stream in sync
 
     def test_histogram_matches_paint_counts(self):
         h, w, ncls = 9, 9, 4
         rng = np.random.default_rng(3)
-        discs = blob_discs(h, w, ncls, rng)
-        labels = paint_discs(h, w, discs)
+        discs, classes = blob_discs(h, w, ncls, rng)
+        assert discs.shape == (len(classes), 3) and classes.dtype == np.int64
+        labels = paint_discs(h, w, discs, classes)
         hist = np.bincount(labels.reshape(-1), minlength=ncls)
         assert hist.sum() == h * w
         # every non-background class got at least one disc by construction
-        assert all(any(d.class_id == c for d in discs) for c in range(1, ncls))
+        assert set(range(1, ncls)) <= set(classes.tolist())
 
     def test_later_discs_overwrite(self):
-        discs = [Disc(2.0, 2.0, 2.0, 1), Disc(2.0, 2.0, 1.0, 2)]
-        labels = paint_discs(5, 5, discs)
+        labels = paint_discs(5, 5, np.array([[2.0, 2.0, 2.0], [2.0, 2.0, 1.0]]), np.array([1, 2]))
         assert labels[2, 2] == 2
         assert labels[0, 2] == 1
 
     def test_no_discs_paint_all_background(self):
-        labels = paint_discs(3, 4, [])
+        labels = paint_discs(3, 4, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
         assert labels.dtype == np.int64
         assert np.array_equal(labels, np.zeros((3, 4), dtype=np.int64))
 

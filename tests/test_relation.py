@@ -1,5 +1,7 @@
 """Relation branches in both views, fusion, zero-init identity, param counts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,22 @@ class TestFusion:
             assert FusionType.from_name(fusion.value) is fusion
         with pytest.raises(ValueError, match="unknown fusion"):
             FusionType.from_name("diagonal")
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("apply", [
+        lambda x, grid, gr, lr: global_relation(x, grid, gr),
+        lambda x, grid, gr, lr: local_relation(x, grid, lr),
+        *(lambda x, grid, gr, lr, fusion=fusion: graph_transformer_block(x, grid, gr, lr, fusion)
+          for fusion in FusionType),
+    ], ids=["global", "local", *(f"gt_{fusion.value}" for fusion in FusionType)])
+    def test_map_taller_than_grid_named_in_error(self, apply):
+        rng = np.random.default_rng(20)
+        grid, gr, lr, _ = toy(rng)
+        taller = Tensor(rng.uniform(-1, 1, (grid.C, grid.H + 1, grid.W)))
+        # the message names the caller's map, not the squeezed one
+        with pytest.raises(ValueError, match=re.escape(f"got {[grid.C, grid.H + 1, grid.W]}")):
+            apply(taller, grid, gr, lr)
 
 
 class TestParamCount:

@@ -16,7 +16,7 @@ raises ``FloatingPointError``, so the script exits non-zero, when any
 hashed logit, loss or gradient, or a logit behind a hashed ``predict``,
 is not finite. A 37th line, ``gradcheck-all-seed0``, hashes the stdout of
 ``wingraph gradcheck all --seed 0``, so the same diff covers every
-finite-difference check too. Two more lines, ``train-out-toy-softmax`` and
+finite-difference check too; a failing check stops the script instead. Two more lines, ``train-out-toy-softmax`` and
 ``train-out-toy-cosine``, hash the file names and bytes of the directory
 that ``wingraph train --out`` writes for a short toy run of each relation
 variant: the arena update in ``train``, the checkpoint bytes, the loss
@@ -123,14 +123,6 @@ def digest(model: Segmenter, data: list[tuple[Tensor, np.ndarray]]) -> str:
     return h.hexdigest()
 
 
-def gradcheck_digest() -> str:
-    """Hash what ``wingraph gradcheck all --seed 0`` prints."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        wingraph_main(["gradcheck", "all", "--seed", "0"])
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
-
-
 def run_cli(argv: list[str]) -> str:
     """Run one ``wingraph`` command and return its stdout; a non-zero exit raises."""
     out = io.StringIO()
@@ -139,6 +131,11 @@ def run_cli(argv: list[str]) -> str:
     if code != 0:
         raise RuntimeError(f"wingraph {argv[0]} exited {code}")
     return out.getvalue()
+
+
+def gradcheck_digest() -> str:
+    """Hash what ``wingraph gradcheck all --seed 0`` prints; a failing check raises."""
+    return hashlib.sha256(run_cli(["gradcheck", "all", "--seed", "0"]).encode()).hexdigest()
 
 
 def train_out_digests(variant: str) -> tuple[str, str]:
