@@ -29,7 +29,12 @@ closing lines, ``synth-blobs``, ``synth-stripes`` and ``synth-checker``, hash
 the images, label maps and label dtype that ``synth_dataset`` makes of each
 kind over a grid of sizes (1x1 and non-square ones among them), class counts
 and seeds, so data the model lines never draw (checker, other sizes and
-class counts) is pinned too. Only the
+class counts) is pinned too. ``synth-blobs-many`` hashes the same of the
+benchmark's own blobs data, larger sets (64 8x8 samples and 16 32x32 ones,
+3 classes) at two seeds and at each seed's eval offset, ``seed + 1000003``,
+so samples with different disc counts share one dataset. ``bench-grid``
+hashes the deterministic columns of ``wingraph bench``'s CSV (K, D, c and
+max_abs_diff; the timings are dropped) on a small grid. Only the
 public ``wingraph`` API and its command-line entry point are used, so the
 script runs unchanged against two revisions of the package:
 
@@ -64,6 +69,10 @@ SYNTH_SIZES = ((1, 1), (1, 6), (8, 8), (7, 12), (32, 32))
 SYNTH_CLASSES = (2, 3, 5)
 SYNTH_SEEDS = (0, 2 ** 40 + 7)
 SYNTH_SAMPLES = 4
+SYNTH_MANY = ((64, 8, 8), (16, 32, 32))
+SYNTH_MANY_SEEDS = (5, 2 ** 33 + 1)
+EVAL_SEED_OFFSET = 1000003
+BENCH_GRID = ["--K", "4,16", "--D", "1,2", "--c", "0.25,1", "--repeats", "1"]
 
 
 def configurations() -> list[tuple[str, SegmenterConfig]]:
@@ -160,16 +169,36 @@ def ablate_digest() -> str:
     return hashlib.sha256(printed.encode() + b"\0" + csv).hexdigest()
 
 
+def hash_dataset(h, dataset: list[tuple[Tensor, np.ndarray]]) -> None:
+    """Feed every image, label map and label dtype of ``dataset`` to ``h``."""
+    for image, labels in dataset:
+        h.update(image.data.tobytes())
+        h.update(labels.tobytes())
+        h.update(labels.dtype.str.encode())
+
+
 def synth_digest(kind: str) -> str:
-    """Hash every image, label map and label dtype ``synth_dataset`` makes of ``kind``
-    over the size, class-count and seed grid."""
+    """Hash what ``synth_dataset`` makes of ``kind`` over the size, class-count and seed grid."""
     h = hashlib.sha256()
     for (height, width), num_classes, seed in itertools.product(SYNTH_SIZES, SYNTH_CLASSES, SYNTH_SEEDS):
-        for image, labels in synth_dataset(kind, SYNTH_SAMPLES, height, width, num_classes, seed):
-            h.update(image.data.tobytes())
-            h.update(labels.tobytes())
-            h.update(labels.dtype.str.encode())
+        hash_dataset(h, synth_dataset(kind, SYNTH_SAMPLES, height, width, num_classes, seed))
     return h.hexdigest()
+
+
+def synth_many_digest() -> str:
+    """Hash the benchmark-sized blobs sets at each seed and its eval offset."""
+    h = hashlib.sha256()
+    for seed in SYNTH_MANY_SEEDS:
+        for offset, (n, height, width) in itertools.product((0, EVAL_SEED_OFFSET), SYNTH_MANY):
+            hash_dataset(h, synth_dataset("blobs", n, height, width, 3, seed + offset))
+    return h.hexdigest()
+
+
+def bench_digest() -> str:
+    """Hash the K, D, c and max_abs_diff columns of ``wingraph bench``'s CSV."""
+    rows = [line.split(",") for line in run_cli(["bench", *BENCH_GRID]).splitlines()]
+    kept = [",".join(row[:3] + row[5:]) for row in rows]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
 
 
 def main() -> None:
@@ -183,6 +212,8 @@ def main() -> None:
     print("ablate-theta-toy", ablate_digest())
     for kind in ("blobs", "stripes", "checker"):
         print(f"synth-{kind}", synth_digest(kind))
+    print("synth-blobs-many", synth_many_digest())
+    print("bench-grid", bench_digest())
 
 
 if __name__ == "__main__":
