@@ -33,17 +33,12 @@ def class_palette(num_classes: int) -> np.ndarray:
     ], axis=1)
 
 
-def render_image(labels: np.ndarray, palette: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Palette colour per pixel plus Gaussian noise; [3, H, W] float64."""
-    img = palette[labels].transpose(2, 0, 1)
-    return img + rng.normal(0.0, NOISE_SIGMA, img.shape)
-
-
-def stripe_labels(h: int, w: int, num_classes: int, phase: int = 0) -> np.ndarray:
-    """Horizontal bands of height max(1, min(H//4, H//num_classes))."""
+def stripe_labels(h: int, w: int, num_classes: int, phases: np.ndarray) -> np.ndarray:
+    """[len(phases), H, W] horizontal bands of height max(1, min(H//4, H//num_classes)),
+    each map shifted down by its phase."""
     band = max(1, min(h // 4, h // num_classes))
-    rows = ((np.arange(h) + phase) // band) % num_classes
-    return np.repeat(rows[:, None], w, axis=1).astype(np.int64)
+    rows = ((np.arange(h) + np.asarray(phases)[:, None]) // band) % num_classes
+    return np.repeat(rows[:, :, None], w, axis=2).astype(np.int64)
 
 
 def checker_labels(h: int, w: int, num_classes: int) -> np.ndarray:
@@ -53,64 +48,69 @@ def checker_labels(h: int, w: int, num_classes: int) -> np.ndarray:
     return ((yy + xx) % num_classes).astype(np.int64)
 
 
-def blob_discs(h: int, w: int, num_classes: int,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the discs for one blobs sample: their [n, 3] (cy, cx, radius)
-    array and their [n] int64 class ids.
-
-    The first num_classes-1 discs cover every non-background class once;
-    any extras pick their class at random.  Each disc's (cy, cx, radius) is
-    uniform on [0, h) x [0, w) x [min(h, w)/6, min(h, w)/3), mapped from
-    ``rng.random`` as ``low + (high - low) * u``, which is what
-    ``rng.uniform`` computes.  The stream is consumed disc by disc (an
-    extra disc's class, then its three values), as one ``rng.uniform`` call
-    per value would consume it, so the floats are the same.
-    """
-    extra = int(rng.integers(2, 5))
-    low = np.array([0.0, 0.0, min(h, w) / 6.0])
-    high = np.array([h, w, min(h, w) / 3.0])
-    classes = list(range(1, num_classes))
-    draws = [rng.random((num_classes - 1, 3))]
-    for _ in range(extra):
-        classes.append(int(rng.integers(1, num_classes)))
-        draws.append(rng.random((1, 3)))
-    return low + (high - low) * np.concatenate(draws), np.array(classes, dtype=np.int64)
-
-
 def paint_discs(h: int, w: int, discs: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Rasterise ``discs``, [n, 3] (cy, cx, radius), of class ids ``classes``
-    over background class 0; later discs win overlaps.
+    """Rasterise each sample's disc slots, ``discs`` [n, S, 3] (cy, cx, radius)
+    of class ids ``classes`` [n, S], over background class 0; [n, H, W] int64.
 
     Pixel (y, x) is inside a disc when (y + .5 - cy)^2 + (x + .5 - cx)^2 <=
-    radius ** 2, with the radius squared as a Python float.  All discs are
-    tested in one [n, H, W] broadcast; each pixel takes the class of the
-    last disc that holds it.
+    radius ** 2, the radius squared as a Python float.  Slots are painted in
+    order, one [n, H, W] pass each, so later discs win; an unused slot is NaN.
     """
     yy = np.arange(h)[:, None] + 0.5
     xx = np.arange(w)[None, :] + 0.5
-    cy, cx = discs[:, :2].T[:, :, None, None]
-    r2 = np.array([r ** 2 for r in discs[:, 2].tolist()])[:, None, None]
-    inside = (yy - cy) ** 2 + (xx - cx) ** 2 <= r2
-    last = (np.arange(1, len(discs) + 1)[:, None, None] * inside).max(axis=0, initial=0)
-    return np.concatenate(([0], classes))[last]
+    cy, cx = discs[..., 0, None, None], discs[..., 1, None, None]
+    r2 = np.array([r ** 2 for r in discs[..., 2].ravel().tolist()]).reshape(cy.shape)
+    labels = np.zeros((len(discs), h, w), dtype=np.int64)
+    for k in range(discs.shape[1]):
+        inside = (yy - cy[:, k]) ** 2 + (xx - cx[:, k]) ** 2 <= r2[:, k]
+        np.copyto(labels, classes[:, k, None, None], where=inside)
+    return labels
 
 
 def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
                   seed: int) -> list[tuple[Tensor, np.ndarray]]:
-    """Generate ``n`` (image, label map) pairs, deterministic in ``seed``."""
+    """Generate ``n`` (image, label map) pairs, deterministic in ``seed``.
+
+    Sample by sample, the stream gives a stripes sample's phase, or a blobs
+    sample's ``rng.integers(2, 5)`` extra discs, ``rng.random((num_classes -
+    1, 3))`` for one disc per non-background class and each extra's class and
+    three uniforms; then the sample's [3, H, W] ``standard_normal`` noise.
+    Painting, the palette lookup and the noise scale run once over the stack,
+    so images and label maps are views into one [n, 3, H, W] and one [n, H, W]
+    array.  The bytes equal one ``rng.uniform`` per disc value and one
+    ``rng.normal(0, NOISE_SIGMA)`` per sample, whose added 0.0 only turns a
+    -0.0 into 0.0 before a positive palette colour is added.
+    """
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
-    palette = class_palette(num_classes)
-    samples = []
-    for _ in range(n):
+    images = np.empty((n, 3, h, w))
+    phases = np.empty(n, dtype=np.int64)
+    covered = num_classes - 1
+    u = np.full((n, covered + 4, 3), np.nan)  # at most 4 extra discs
+    classes = np.tile(np.arange(1, num_classes + 4), (n, 1))  # extras drawn below
+    for i in range(n):
         if kind == "stripes":
-            labels = stripe_labels(h, w, num_classes, phase=int(rng.integers(0, h)))
+            phases[i] = rng.integers(0, h)
         elif kind == "blobs":
-            labels = paint_discs(h, w, *blob_discs(h, w, num_classes, rng))
-        else:
-            labels = checker_labels(h, w, num_classes)
-        samples.append((Tensor(render_image(labels, palette, rng)), labels))
-    return samples
+            extra = int(rng.integers(2, 5))
+            rng.random(out=u[i, :covered])
+            for k in range(covered, covered + extra):
+                classes[i, k] = rng.integers(1, num_classes)
+                rng.random(out=u[i, k])
+        rng.standard_normal(out=images[i])
+    if kind == "stripes":
+        labels = stripe_labels(h, w, num_classes, phases)
+    elif kind == "blobs":
+        low = np.array([0.0, 0.0, min(h, w) / 6.0])
+        high = np.array([h, w, min(h, w) / 3.0])
+        labels = paint_discs(h, w, low + (high - low) * u, classes)
+    else:
+        labels = np.repeat(checker_labels(h, w, num_classes)[None], n, axis=0)
+    images *= NOISE_SIGMA
+    images += class_palette(num_classes)[labels].transpose(0, 3, 1, 2)
+    return [(Tensor(image), label_map) for image, label_map in zip(images, labels)]

@@ -90,7 +90,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        """Reset the gradient slot to an explicit all-zero array."""
+        """Reset a leaf's gradient slot to an explicit all-zero array.  An op
+        output raises ``ValueError``: ``backward`` never fills its slot."""
+        if self._backward is not None:
+            raise ValueError(f"zero_grad on an op output {self!r}: backward stores gradients on leaves only")
         self.grad = np.zeros(self.data.shape)
 
     def __repr__(self) -> str:

@@ -109,6 +109,19 @@ class TestTensorBasics:
         p.zero_grad()
         assert p.grad.shape == (3,) and np.all(p.grad == 0.0)
 
+    def test_zero_grad_fills_a_requires_grad_input(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        backward(sum_all(x))
+        x.zero_grad()
+        assert x.grad.shape == (2, 2) and np.all(x.grad == 0.0)
+
+    def test_zero_grad_refuses_an_op_output(self):
+        out = matmul(Tensor(np.eye(2)), Parameter(np.ones((2, 2)), "w"))
+        backward(sum_all(out))
+        with pytest.raises(ValueError, match="op output"):
+            out.zero_grad()
+        assert out.grad is None
+
 
 class TestMatmul:
     def test_identity(self):
