@@ -3,8 +3,9 @@
 For each (node count K, feature dim D, threshold coefficient c) the
 benchmark builds a row-softmax relation matrix and prunes it at c times the
 mean entry, as a graph round does (``relation_softmax``, ``make_theta``,
-``sparsify``), then times both propagation paths on identical data.  The two
-paths are bit-identical by construction, so the max absolute difference
+``sparsify``), then times both propagation paths on identical data;
+``dense_ms`` times whichever dense form ``graph``'s size rule picks.  The
+two paths are bit-identical by construction, so the max absolute difference
 column must be exactly 0; it is recorded as a per-row verification.
 """
 

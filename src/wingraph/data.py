@@ -87,6 +87,8 @@ def synth_dataset(kind: str, n: int, h: int, w: int, num_classes: int,
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if h < 1 or w < 1:
+        raise ValueError(f"h and w must be >= 1, got h={h}, w={w}")
     rng = np.random.default_rng(seed)
     images = np.empty((n, 3, h, w))
     phases = np.empty(n, dtype=np.int64)

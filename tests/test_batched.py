@@ -7,10 +7,11 @@ per-window rank-2 call would compute it.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wingraph.graph import (
+    _PROPAGATE_ONE_CALL_FLOATS,
     _VARIANTS,
     GraphConfig,
     RelationMatrix,
@@ -87,13 +88,16 @@ def test_stacked_dense_update_equals_sparse_update_of_each_slice(stacked, varian
     assert np.array_equal(dense, node_update_sparse(pruned, nodes))
 
 
-def with_signed_zeros(shape, seed):
-    """Normal entries of both signs, with some set to exactly 0.0 or -0.0."""
+def with_special_values(shape, seed):
+    """Normal entries of both signs, with some set to exactly 0.0 or -0.0
+    and a few to +inf or -inf."""
     rng = np.random.default_rng(seed)
     data = rng.normal(size=shape)
     kinds = rng.integers(0, 4, size=shape)  # 0, 1: keep; 2: +0.0; 3: -0.0
     data[kinds == 2] = 0.0
     data[kinds == 3] = -0.0
+    infinite = rng.random(size=shape) < 0.02
+    data[infinite] = np.copysign(np.inf, data[infinite])
     return data
 
 
@@ -106,19 +110,31 @@ def ascending_j_reference(values, nodes):
     return out
 
 
-@settings(max_examples=80, deadline=None)
-@given(stacked=st.booleans(), b=st.integers(1, 4), k=st.integers(1, 12),
-       narrow=st.booleans(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
-def test_dense_update_equals_ascending_j_reference(stacked, b, k, narrow, data, seed):
-    # Both layouts: fewer features than nodes (D < K, including D = 1) and
-    # at least as many.
-    d = data.draw(st.integers(1, k - 1) if narrow and k > 1 else st.integers(k, 12))
+RULE = _PROPAGATE_ONE_CALL_FLOATS
+
+
+@settings(max_examples=120, deadline=None)
+@given(stacked=st.booleans(), b=st.integers(1, 8), k=st.integers(0, 40), d=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+# B*K*D floats per step at the size rule and one past it, in both layouts
+# (K = 16, D = 4 is transposed); then no nodes, and nodes without features.
+@example(stacked=False, b=1, k=RULE, d=1, seed=1)
+@example(stacked=False, b=1, k=RULE + 1, d=1, seed=2)
+@example(stacked=True, b=RULE // 64, k=16, d=4, seed=3)
+@example(stacked=True, b=1, k=1, d=RULE + 1, seed=4)
+@example(stacked=True, b=3, k=0, d=5, seed=5)
+@example(stacked=False, b=1, k=6, d=0, seed=6)
+def test_dense_update_equals_ascending_j_reference(stacked, b, k, d, seed):
+    # Both layouts (fewer features than nodes, 1 < D < K, and the rest) on
+    # both sides of the size rule: the draws reach 8 * 40 * 40 floats a step.
     lead = (b,) if stacked else ()
-    values = with_signed_zeros(lead + (k, k), seed)
-    nodes = with_signed_zeros(lead + (k, d), seed + 1)
-    out = node_update_dense_data(values, nodes)
+    values = with_special_values(lead + (k, k), seed)
+    nodes = with_special_values(lead + (k, d), seed + 1)
+    with np.errstate(invalid="ignore"):  # 0 * inf, and inf - inf
+        out = node_update_dense_data(values, nodes)
+        expected = ascending_j_reference(values, nodes)
     assert out.shape == lead + (k, d) and out.flags["C_CONTIGUOUS"]
-    assert out.tobytes() == ascending_j_reference(values, nodes).tobytes()
+    assert out.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

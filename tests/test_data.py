@@ -118,6 +118,12 @@ class TestRendering:
             synth_dataset(kind, -1, 8, 8, 2, 0)
 
     @pytest.mark.parametrize("kind", DATASET_KINDS)
+    @pytest.mark.parametrize("h, w", [(0, 8), (8, 0), (-1, 8)])
+    def test_empty_image_size_rejected(self, kind, h, w):
+        with pytest.raises(ValueError, match=f"h and w must be >= 1, got h={h}, w={w}"):
+            synth_dataset(kind, 2, h, w, 2, 0)
+
+    @pytest.mark.parametrize("kind", DATASET_KINDS)
     def test_zero_samples_make_an_empty_dataset(self, kind):
         assert synth_dataset(kind, 0, 8, 8, 2, 0) == []
 

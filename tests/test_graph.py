@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wingraph.graph import (
+    _PROPAGATE_ONE_CALL_FLOATS,
+    _cosine_data,
     GraphConfig,
     RelationMatrix,
     make_theta,
@@ -69,6 +71,42 @@ class TestRelationCosine:
             assert np.abs(vals - vals.T).max() < 1e-12
             assert (np.abs(vals) <= 1.0).all()
             assert np.array_equal(np.diagonal(vals), np.ones(k))
+
+
+def cosine_data_out_of_place(nd):
+    """``_cosine_data`` as it was written with a fresh array per step: the
+    byte reference for the in-place form."""
+    k = nd.shape[-2]
+    dots = np.vecdot(nd[..., :, None, :], nd[..., None, :, :])
+    norms = np.sqrt(np.diagonal(dots, axis1=-2, axis2=-1))
+    nonzero = norms > 0.0
+    safe = np.where(nonzero, norms, 1.0)
+    both = nonzero[..., :, None] & nonzero[..., None, :]
+    values = np.where(both, dots / (safe[..., :, None] * safe[..., None, :]), 0.0)
+    values[..., range(k), range(k)] = 1.0
+    np.clip(values, -1.0, 1.0, out=values)
+    return values, safe, nonzero
+
+
+# A row is ordinary, all +0.0, all -0.0, subnormal, large enough that its
+# dots overflow to inf, infinite or NaN.
+_ROW_SCALES = st.sampled_from([1.0, 0.0, -0.0, 5e-324, 1e-310, 1e200, np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked=st.booleans(), b=st.integers(1, 3), k=st.integers(0, 6), d=st.integers(1, 4),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_cosine_data_equals_out_of_place_form(stacked, b, k, d, data, seed):
+    lead = (b,) if stacked else ()
+    rows = int(np.prod(lead + (k,)))
+    scales = data.draw(st.lists(_ROW_SCALES, min_size=rows, max_size=rows))
+    nodes = np.random.default_rng(seed).normal(size=lead + (k, d))
+    nodes *= np.reshape(scales, lead + (k, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing dots, inf / inf
+        got = _cosine_data(nodes)
+        expected = cosine_data_out_of_place(nodes)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
 class TestRelationSoftmax:
@@ -328,15 +366,20 @@ class TestGraphConfig:
 class TestSparseDensePaths:
     def test_column_skipping_is_exact(self):
         rng = np.random.default_rng(20)
+        slabs = []
         for _ in range(50):
-            k, d = int(rng.integers(1, 12)), int(rng.integers(1, 10))
-            values = rng.normal(size=(k, k))
-            mask = rng.random((k, k)) < rng.random()
+            lead = (int(rng.integers(1, 6)),) if rng.random() < 0.5 else ()
+            k, d = int(rng.integers(1, 40)), int(rng.integers(1, 10))
+            values = rng.normal(size=lead + (k, k))
+            mask = rng.random(values.shape) < rng.random()
             masked = np.where(mask, values, 0.0)
-            nodes = rng.normal(size=(k, d))
+            nodes = rng.normal(size=lead + (k, d))
             dense = node_update_dense_data(masked, nodes)
             sparse = node_update_sparse_data(masked, mask, nodes)
-            assert np.abs(dense - sparse).max() == 0.0
+            assert dense.tobytes() == sparse.tobytes()
+            slabs.append(nodes.size)
+        # Both forms of the dense propagation, one call and the j loop.
+        assert min(slabs) <= _PROPAGATE_ONE_CALL_FLOATS < max(slabs)
 
     def test_sparse_requires_mask(self):
         rel = relation_softmax(Tensor(np.random.default_rng(21).normal(size=(3, 2))))
