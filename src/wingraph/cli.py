@@ -24,7 +24,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import synth_dataset
 from .gradcheck import SCOPE_NAMES, TOLERANCE, run_gradcheck
 from .metrics import EmptyBandError, boundary_band_accuracy, miou, predictions, write_iou_csv
-from .model import ConfigError, SegmenterConfig, build_model
+from .model import ConfigError, SegmenterConfig, build_model, check_array_budget
 from .relation import FusionType
 from .train import TrainingDiverged, train
 
@@ -60,7 +60,7 @@ def _format_stages(stages: tuple[tuple[int, int, int], ...]) -> str:
 # formats with str, which covers int, float and str fields.
 _TYPE_CODECS = {
     bool: (_parse_bool, lambda value: "true" if value else "false"),
-    FusionType: (FusionType.from_name, lambda value: value.value),
+    FusionType: (FusionType, lambda value: value.value),
     tuple: (_parse_stages, _format_stages),
 }
 _FIELD_CODECS = {name: _TYPE_CODECS.get(typing.get_origin(tp) or tp, (tp, str))
@@ -255,6 +255,7 @@ def cmd_bench(args) -> int:
             or not all(map(math.isfinite, cs)):
         raise ConfigError(f"bench needs non-empty K, D and c lists, K, D, repeats >= 1 and finite c; "
                           f"got K={ks} D={ds} c={cs} repeats={args.repeats}")
+    check_array_budget({"bench relation (K^2)": max(ks) ** 2, "bench nodes (K*D)": max(ks) * max(ds)})
     csv_path = _out_files(args.out, "bench.csv")[0] if args.out else None
     rows = run_benchmark(ks, ds, cs, repeats=args.repeats, seed=args.seed)
     _emit_csv(format_csv(rows), csv_path)

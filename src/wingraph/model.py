@@ -10,13 +10,12 @@ every weight is drawn deterministically from the config seed.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .boundary import BAParams, ba_apply, ba_param_count
+from .boundary import LOCAL_KERNEL, BAParams, ba_apply, ba_param_count
 from .data import DATASET_KINDS
 from .graph import GraphConfig, _VARIANTS
 from .relation import (
@@ -44,6 +43,19 @@ class ConfigError(ValueError):
     """A segmenter configuration violates a named constraint."""
 
 
+# The most float64 values any one array may hold: 2**27, 1 GiB.  A config or
+# ``bench`` request whose closed-form array sizes exceed it is refused before
+# anything is allocated; every shipped configuration is far below it.
+ARRAY_BUDGET = 2 ** 27
+
+
+def check_array_budget(sizes: dict[str, int]) -> None:
+    """Raise ``ConfigError`` naming the first array in ``sizes`` over ``ARRAY_BUDGET``."""
+    for term, size in sizes.items():
+        if size > ARRAY_BUDGET:
+            raise ConfigError(f"{term} needs {size} values; the budget is {ARRAY_BUDGET} per array")
+
+
 @dataclass(frozen=True)
 class SegmenterConfig:
     """Everything needed to build, train and evaluate one model.
@@ -52,8 +64,8 @@ class SegmenterConfig:
     stage's window grid.  The enable flags switch the graph block and the
     boundary gate independently so ablation grids can toggle them.  A config
     is checked when it is made, by the constructor or ``dataclasses.replace``,
-    which raise ``ConfigError`` for the first rule it breaks; once made it
-    cannot change.
+    which raise ``ConfigError`` for the first rule it breaks, the array budget
+    last; once made it cannot change.
     """
 
     C: int = 16
@@ -117,6 +129,20 @@ class SegmenterConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        hw, k = self.H * self.W, LOCAL_KERNEL
+        sizes = {"parameter arena": model_param_count(self),
+                 "image stack (dataset_size*3*H*W)": self.dataset_size * 3 * hw,
+                 "feature map (C*H*W)": self.C * hw, "logits (num_classes*H*W)": self.num_classes * hw,
+                 "confusion matrix (num_classes^2)": self.num_classes ** 2}
+        for s, (_, m, n) in enumerate(self.stages):
+            # M*N windows of (h_w*w_w)^2 attention scores; the local relation stack is as large
+            sizes[f"stage {s} attention scores (M*N*(h_w*w_w)^2)"] = hw * (hw // (m * n))
+            if self.enable_gt:
+                sizes[f"stage {s} global relation ((M*N)^2)"] = (m * n) ** 2
+        if self.enable_ba:
+            sizes["boundary gate patches (7*(C/r_ba)*(H+6)*(W+6))"] = \
+                k * (self.C // self.r_ba) * (self.H + k - 1) * (self.W + k - 1)
+        check_array_budget(sizes)
 
     def graph_config(self) -> GraphConfig:
         return GraphConfig(variant=self.relation_variant,
@@ -209,7 +235,7 @@ class Segmenter:
         self.config = config
         rng = np.random.default_rng(config.seed) if arena is None else None
         self.arena, self.grad_arena, params = draw_parameters(param_spec(config), rng, arena)
-        self._params = OrderedDict((p.name, p) for p in params)
+        self._params = {p.name: p for p in params}
         # Each module takes its parameters in param_spec's order.
         take = iter(params)
         self.stem = next(take)
@@ -224,7 +250,7 @@ class Segmenter:
         self.ba = BAParams(*islice(take, 3)) if config.enable_ba else None
         self.head = next(take)
 
-    def parameters(self) -> "OrderedDict[str, Parameter]":
+    def parameters(self) -> dict[str, Parameter]:
         return self._params
 
     def param_count(self) -> int:

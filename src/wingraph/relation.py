@@ -38,12 +38,9 @@ class FusionType(enum.Enum):
     PARALLEL = "parallel"
 
     @classmethod
-    def from_name(cls, name: str) -> "FusionType":
-        for member in cls:
-            if member.value == name:
-                return member
+    def _missing_(cls, value):
         options = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown fusion type {name!r}; expected one of {options}")
+        raise ValueError(f"unknown fusion type {value!r}; expected one of {options}")
 
 
 @dataclass

@@ -37,6 +37,8 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
     """Run ``steps`` SGD updates and report the recorded curve."""
     if not dataset:
         raise ValueError("train: empty dataset")
+    if steps < 0:
+        raise ValueError(f"train: steps must be >= 0, got {steps}")
     if not 0 < lr < math.inf:
         raise ValueError(f"train: lr must be positive and finite, got {lr}")
     report = TrainingReport(param_count=model.param_count())

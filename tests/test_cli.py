@@ -8,14 +8,15 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wingraph import tensor
+from wingraph import model, tensor
 from wingraph.checkpoint import save_checkpoint
 from wingraph.cli import format_config, load_config, main, parse_config_text
 from wingraph.data import DATASET_KINDS
@@ -66,7 +67,17 @@ def valid_configs(draw):
     return SegmenterConfig(**values)
 
 
+@pytest.fixture(scope="class")
+def no_array_budget():
+    """Lift the array budget while Hypothesis draws: ``valid_configs`` covers
+    field ranges whose arrays no budget allows, to test the text codec."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "ARRAY_BUDGET", math.inf)
+        yield
+
+
 class TestConfigText:
+    @pytest.mark.usefixtures("no_array_budget")
     @given(valid_configs())
     @example(SegmenterConfig())
     def test_roundtrip_through_text(self, config):
@@ -420,6 +431,13 @@ UNREADABLE_INPUTS = {
     "config_line_without_equals": _config_line_without_equals,
     "override_without_equals": _bad_override("C"),
     "unknown_fusion_override": _bad_override("fusion=diagonal"),
+    # Each needs one array far over the budget, and is refused before any is allocated.
+    "over_budget_parameter_arena": _bad_override("C=1000000"),
+    "over_budget_image_stack": _bad_override("dataset_size=100000000"),
+    "over_budget_confusion_matrix": lambda tmp_path: _bad_override("num_classes=20000000")(tmp_path) + [
+        "--override", "C=1", "--override", "H=1", "--override", "W=1", "--override", "stages=1x1x1",
+        "--override", "enable_gt=false", "--override", "enable_ba=false"],
+    "over_budget_bench_relation": lambda tmp_path: ["bench", "--K", "100000", "--D", "2", "--c", "0.25"],
 }
 
 
@@ -427,6 +445,37 @@ UNREADABLE_INPUTS = {
 def test_untrusted_input_exits_two_without_traceback(case, tmp_path, capsys):
     assert main(UNREADABLE_INPUTS[case](tmp_path)) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+SIZES = st.one_of(st.sampled_from([1, 2, 4, 8]), st.integers(1, 64), st.integers(1, 2 ** 40))
+SIZE_FIELDS = ("C", "H", "W", "num_classes", "r_gr", "r_lr", "r_ba", "graph_depth", "dataset_size")
+
+
+@st.composite
+def sized_commands(draw):
+    """A ``bench`` command whose K and D lists, or a ``train`` command whose size
+    fields, are drawn up to 2**40; a train run takes at most one step."""
+    def size_list():
+        return ",".join(map(str, draw(st.lists(SIZES, min_size=1, max_size=2))))
+
+    if draw(st.booleans()):
+        return ["bench", "--K", size_list(), "--D", size_list(), "--c", "0.5", "--repeats", "1"]
+    fields = draw(st.dictionaries(st.sampled_from(SIZE_FIELDS), SIZES, max_size=2))
+    if draw(st.booleans()):
+        fields["stages"] = ",".join("x".join(map(str, stage)) for stage in
+                                    draw(st.lists(st.tuples(SIZES, SIZES, SIZES), min_size=1, max_size=2)))
+    fields["steps"] = draw(st.integers(0, 1))
+    return ["train"] + FAST + [arg for key, value in fields.items() for arg in ("--override", f"{key}={value}")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_commands())
+def test_any_size_runs_or_exits_two_without_traceback(command):
+    # A 2**12-value budget keeps every run that is let through small, and
+    # lets FAST's toy config through.
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(model, "ARRAY_BUDGET", 2 ** 12)
+        assert main(command + ["--out", out]) in (0, 2)
 
 
 class TestSubprocessEntry:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wingraph import model as model_module
 from wingraph.checkpoint import load_checkpoint, save_checkpoint
 from wingraph.model import (
     ConfigError,
@@ -69,6 +70,40 @@ class TestConfigValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.config.C = 8
         assert model.config.C == 4
+
+
+class TestArrayBudget:
+    # Each row is over the 2**27-value budget in exactly the array it names
+    # and far under it in every other, so only the closed forms are compared.
+    @pytest.mark.parametrize("fields,term", [
+        (dict(C=10 ** 6), "parameter arena"),
+        (dict(dataset_size=10 ** 8), "image stack"),
+        (dict(H=4096, W=4096, stages=((1, 4096, 4096),), dataset_size=1,
+              enable_gt=False, enable_ba=False), "feature map"),
+        (dict(C=1, H=4096, W=4096, stages=((1, 4096, 4096),), num_classes=10, dataset_size=1,
+              enable_gt=False, enable_ba=False), "logits"),
+        (dict(C=1, H=1, W=1, stages=((1, 1, 1),), num_classes=20000,
+              enable_gt=False, enable_ba=False), "confusion matrix"),
+        (dict(H=128, W=128, stages=((1, 1, 1),), enable_gt=False), "stage 0 attention scores"),
+        (dict(H=128, W=128, stages=((1, 128, 128),)), "stage 0 global relation"),
+        (dict(r_ba=1, H=2048, W=2048, stages=((1, 2048, 2048),), dataset_size=1,
+              enable_gt=False), "boundary gate patches"),
+    ])
+    def test_over_budget_array_is_named(self, fields, term):
+        with pytest.raises(ConfigError, match=rf"^{term} .* values; the budget is 134217728 per array$"):
+            SegmenterConfig(**fields)
+
+    # An 8x8 sample is 192 values; with the budget at 1000 of them the image
+    # stack is the config's largest array.
+    def test_at_the_budget_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(model_module, "ARRAY_BUDGET", 192 * 1000)
+        assert SegmenterConfig(dataset_size=1000).dataset_size == 1000
+
+    def test_just_over_the_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(model_module, "ARRAY_BUDGET", 192 * 1000)
+        with pytest.raises(ConfigError, match=r"^image stack \(dataset_size\*3\*H\*W\) needs 192192 values; "
+                                              r"the budget is 192000 per array$"):
+            SegmenterConfig(dataset_size=1001)
 
 
 class TestBuildModel:

@@ -166,9 +166,9 @@ class TestFusion:
 
     def test_fusion_names_roundtrip(self):
         for fusion in FusionType:
-            assert FusionType.from_name(fusion.value) is fusion
+            assert FusionType(fusion.value) is fusion
         with pytest.raises(ValueError, match="unknown fusion"):
-            FusionType.from_name("diagonal")
+            FusionType("diagonal")
 
 
 class TestInputCheck:

@@ -78,6 +78,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(build_model(TOY), [], steps=1, lr=0.1)
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match=r"^train: steps must be >= 0, got -3$"):
+            train(build_model(TOY), toy_dataset(), steps=-3, lr=0.1)
+
     @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf])
     def test_lr_outside_open_positive_range_rejected(self, lr):
         with pytest.raises(ValueError, match="lr must be positive and finite"):
