@@ -28,7 +28,7 @@ eval_set = synth_dataset(config.dataset, 4, config.H, config.W,
                          config.num_classes, config.seed + 1000)
 
 report = train(model, train_set, config.steps, config.lr)
-print(f"\ntrained {report.steps} steps: loss {report.losses[0]:.4f} -> {report.final_loss:.4f}")
+print(f"\ntrained {config.steps} steps: loss {report.losses[0]:.4f} -> {report.final_loss:.4f}")
 print(f"train pixel accuracy: {report.final_pixel_accuracy:.4f}")
 
 pred, labels = predictions(model, eval_set)

@@ -70,7 +70,8 @@ def save_checkpoint(model: Segmenter, path) -> None:
 def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
     """Parse and sanity-check the header; returns entries and blob start.
 
-    Each entry's offset must be the sum of the byte lengths before it.
+    Each entry's offset must be the sum of the byte lengths before it.  A
+    file that ends inside an entry is a "truncated manifest".
     """
     if len(raw) < 10:
         raise CheckpointError("truncated header")
@@ -81,36 +82,29 @@ def read_manifest(raw: bytes) -> tuple[list[ManifestEntry], int]:
         raise CheckpointError(f"unsupported version {version}")
     pos, end = 10, 0
     entries = []
-    for _ in range(count):
-        if pos + 2 > len(raw):
-            raise CheckpointError("truncated manifest")
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        if pos + name_len + 2 > len(raw):
-            raise CheckpointError("truncated manifest")
-        try:
-            name = raw[pos:pos + name_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"manifest entry name is not valid utf-8: {exc}") from exc
-        pos += name_len
-        dtype, rank = struct.unpack_from("<BB", raw, pos)
-        pos += 2
-        if dtype != DTYPE_FLOAT64:
-            raise CheckpointError(f"unknown dtype tag {dtype} for {name!r}")
-        if pos + 8 * rank + 16 > len(raw):
-            raise CheckpointError("truncated manifest")
-        shape = struct.unpack_from(f"<{rank}Q", raw, pos) if rank else ()
-        pos += 8 * rank
-        offset, length = struct.unpack_from("<QQ", raw, pos)
-        pos += 16
-        expected = 8 * math.prod(shape)
-        if length != expected:
-            size = expected if expected < 2 ** 64 else "over 2**64"  # str() caps int digits
-            raise CheckpointError(f"entry {name!r}: byte length {length} != shape size {size}")
-        if offset != end:
-            raise CheckpointError(f"entry {name!r}: blob offset {offset}, expected {end}")
-        entries.append(ManifestEntry(name, tuple(int(s) for s in shape), offset, length))
-        end += length
+    try:
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", raw, pos)
+            pos += 2 + name_len
+            dtype, rank = struct.unpack_from("<BB", raw, pos)
+            try:
+                name = raw[pos - name_len:pos].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"manifest entry name is not valid utf-8: {exc}") from exc
+            if dtype != DTYPE_FLOAT64:
+                raise CheckpointError(f"unknown dtype tag {dtype} for {name!r}")
+            *shape, offset, length = struct.unpack_from(f"<{rank + 2}Q", raw, pos + 2)
+            pos += 2 + 8 * (rank + 2)
+            expected = 8 * math.prod(shape)
+            if length != expected:
+                size = expected if expected < 2 ** 64 else "over 2**64"  # str() caps int digits
+                raise CheckpointError(f"entry {name!r}: byte length {length} != shape size {size}")
+            if offset != end:
+                raise CheckpointError(f"entry {name!r}: blob offset {offset}, expected {end}")
+            entries.append(ManifestEntry(name, tuple(shape), offset, length))
+            end += length
+    except struct.error as exc:
+        raise CheckpointError("truncated manifest") from exc
     return entries, pos
 
 

@@ -23,7 +23,7 @@ from .bench import format_csv, run_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import synth_dataset
 from .gradcheck import SCOPE_NAMES, TOLERANCE, run_gradcheck
-from .metrics import EmptyBandError, boundary_band_accuracy, miou, predictions, write_iou_csv
+from .metrics import boundary_band_accuracy, miou, predictions, write_iou_csv
 from .model import ConfigError, SegmenterConfig, build_model, check_array_budget
 from .relation import FusionType
 from .train import TrainingDiverged, train
@@ -149,11 +149,7 @@ def _evaluate(model):
     eval_set = synth_dataset(config.dataset, config.dataset_size, config.H, config.W,
                              config.num_classes, config.seed + EVAL_SEED_OFFSET)
     pred, labels = predictions(model, eval_set)
-    result = miou(pred, labels, config.num_classes)
-    try:
-        return result, boundary_band_accuracy(pred, labels, band=1)
-    except EmptyBandError:
-        return result, math.nan
+    return miou(pred, labels, config.num_classes), boundary_band_accuracy(pred, labels, band=1)
 
 
 def cmd_gradcheck(args) -> int:
@@ -184,8 +180,8 @@ def cmd_train(args) -> int:
     result, boundary = _evaluate(model)
     write_iou_csv(metrics_path, result.per_class)
     summary = {
-        "param_count": report.param_count,
-        "steps": report.steps,
+        "param_count": model.param_count(),
+        "steps": config.steps,
         "seed": config.seed,
         "final_loss": report.final_loss,
         "train_pixel_accuracy": report.final_pixel_accuracy,
@@ -197,7 +193,7 @@ def cmd_train(args) -> int:
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in summary.items()}
     report_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="ascii")
-    print(f"trained {report.param_count} params for {report.steps} steps: "
+    print(f"trained {model.param_count()} params for {config.steps} steps: "
           f"loss {report.final_loss:.4f}, eval mIoU {result.mean:.4f}")
     return 0
 

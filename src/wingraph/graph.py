@@ -99,6 +99,8 @@ class GraphConfig:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"GraphConfig: unknown variant {self.variant!r}")
+        if not np.isfinite(self.theta_coefficient):
+            raise ValueError(f"GraphConfig: theta_coefficient must be finite, got {self.theta_coefficient}")
 
 
 def _check_nodes(nodes, op: str) -> None:

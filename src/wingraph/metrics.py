@@ -17,15 +17,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor
 
 
-class EmptyBandError(ValueError):
-    """The target has no class boundary, so the band metric is undefined."""
-
-
 @dataclass
 class MiouResult:
     """Per-class IoU (nan for classes absent from both sides) and the mean
-    over the present classes; the raw confusion matrix sums to the pixel
-    count."""
+    over the present classes (nan when none is present); the raw confusion
+    matrix sums to the pixel count."""
 
     per_class: list[float]
     mean: float
@@ -65,7 +61,7 @@ def confusion_matrix(pred: np.ndarray, target: np.ndarray, num_classes: int) -> 
 
 def miou(pred: np.ndarray, target: np.ndarray, num_classes: int) -> MiouResult:
     """Per-class IoU = TP / (TP + FP + FN); absent classes become nan and
-    are excluded from the mean."""
+    are excluded from the mean, which is nan when no class is present."""
     cm = confusion_matrix(pred, target, num_classes)
     tp = np.diagonal(cm).astype(np.float64)
     fn = cm.sum(axis=1) - tp
@@ -73,9 +69,8 @@ def miou(pred: np.ndarray, target: np.ndarray, num_classes: int) -> MiouResult:
     denom = tp + fp + fn
     per_class = [tp[c] / denom[c] if denom[c] > 0 else math.nan for c in range(num_classes)]
     present = [v for v in per_class if not math.isnan(v)]
-    if not present:
-        raise ValueError("no class present in prediction or target")
-    return MiouResult(per_class, float(sum(present) / len(present)), cm)
+    mean = sum(present) / len(present) if present else math.nan
+    return MiouResult(per_class, float(mean), cm)
 
 
 def evaluate_miou(model, dataset: list[tuple[Tensor, np.ndarray]]) -> MiouResult:
@@ -110,16 +105,16 @@ def boundary_band(target: np.ndarray, band: int) -> np.ndarray:
 
 
 def boundary_band_accuracy(pred: np.ndarray, target: np.ndarray, band: int) -> float:
-    """Pixel accuracy restricted to the boundary band of the target."""
+    """Pixel accuracy restricted to the boundary band of the target; nan
+    when the target has no class boundary."""
     pred, target = _same_shape(pred, target)
     mask = boundary_band(target, band)
-    if not mask.any():
-        raise EmptyBandError("target has no class boundary")
-    return float((pred[mask] == target[mask]).mean())
+    return float((pred[mask] == target[mask]).mean()) if mask.any() else math.nan
 
 
 def dataset_boundary_band_accuracy(model, dataset: list[tuple[Tensor, np.ndarray]], band: int = 1) -> float:
-    """Boundary-band accuracy pooled over every sample's band pixels."""
+    """Boundary-band accuracy pooled over every sample's band pixels; nan
+    when no label map has a class boundary."""
     return boundary_band_accuracy(*predictions(model, dataset), band)
 
 

@@ -28,8 +28,6 @@ class TrainingReport:
     losses: list[float] = field(default_factory=list)
     final_loss: float = math.nan
     final_pixel_accuracy: float = math.nan
-    steps: int = 0
-    param_count: int = 0
 
 
 def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int,
@@ -41,7 +39,7 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
         raise ValueError(f"train: steps must be >= 0, got {steps}")
     if not 0 < lr < math.inf:
         raise ValueError(f"train: lr must be positive and finite, got {lr}")
-    report = TrainingReport(param_count=model.param_count())
+    report = TrainingReport()
     # p.data -= lr * p.grad for every parameter at once, into one reused buffer
     update = np.empty_like(model.arena)
     # A diverging run overflows to inf and nan; the loss and gradient checks
@@ -62,7 +60,6 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
                 raise TrainingDiverged(f"non-finite gradient of {name} at step {step} (lr={lr})")
             np.multiply(lr, model.grad_arena, out=update)
             model.arena -= update
-    report.steps = steps
     if report.losses:
         report.final_loss = report.losses[-1]
     report.final_pixel_accuracy = pixel_accuracy(*predictions(model, dataset))

@@ -241,6 +241,20 @@ def toy_checkpoint(tmp_path_factory):
     return path, path.read_bytes()
 
 
+def test_every_cut_before_the_blob_is_a_truncation(toy_checkpoint):
+    """A file cut short inside its fixed 10-byte header or anywhere in its
+    manifest is rejected as truncated, whichever field the cut splits."""
+    _, raw = toy_checkpoint
+    blob_start = read_manifest(raw)[1]
+    assert blob_start == 863
+    messages = []
+    for cut in range(blob_start):
+        with pytest.raises(CheckpointError) as info:
+            read_manifest(raw[:cut])
+        messages.append(str(info.value))
+    assert messages == ["truncated header"] * 10 + ["truncated manifest"] * (blob_start - 10)
+
+
 @settings(max_examples=300, deadline=None)
 @given(edit=edits)
 @example(edit=("mutate", 0, MAGIC[0]))  # the file unchanged

@@ -24,7 +24,9 @@ from wingraph.graph import (
     run_graph,
     sparsify,
 )
+from wingraph.relation import RelationParams, global_relation
 from wingraph.tensor import Parameter, Tensor, backward, matmul, softmax_rows, sum_all, transpose
+from wingraph.windows import WindowGrid
 
 
 def cosine_oracle(nodes):
@@ -354,6 +356,18 @@ class TestGraphConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
             GraphConfig(variant="bogus")
+
+    @pytest.mark.parametrize("entry", [
+        lambda cfg: run_graph(Tensor(np.ones((5, 3))), [Parameter(np.eye(3), "w0")], cfg),
+        lambda cfg: global_relation(Tensor(np.ones((4, 4, 4))), WindowGrid(4, 4, 4, 2, 2),
+                                    RelationParams.create(4, 2, 4, 1, np.random.default_rng(0), "gr"), cfg),
+    ], ids=["run_graph", "global_relation"])
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_coefficient_rejected(self, entry, coefficient):
+        # nan and inf would prune every edge and -inf keep every edge, silently.
+        entry(GraphConfig(theta_coefficient=1e6))  # a finite coefficient runs
+        with pytest.raises(ValueError, match=f"theta_coefficient must be finite, got {coefficient}$"):
+            entry(GraphConfig(theta_coefficient=coefficient))
 
     def test_built_config_is_frozen(self):
         # The unknown-variant check runs once, at construction, so a built

@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 from wingraph.data import DATASET_KINDS, synth_dataset
 from wingraph.metrics import (
-    EmptyBandError,
     boundary_band,
     boundary_band_accuracy,
     confusion_matrix,
@@ -60,6 +59,13 @@ class TestMiou:
         assert result.per_class[0] == 1.0
         assert math.isnan(result.per_class[1]) and math.isnan(result.per_class[2])
         assert result.mean == 1.0
+
+    def test_no_class_present_gives_nan_mean(self):
+        empty = np.zeros((0, 4), dtype=int)
+        result = miou(empty, empty, 2)
+        assert all(math.isnan(v) for v in result.per_class)
+        assert math.isnan(result.mean)
+        assert result.confusion.sum() == 0
 
     def test_mean_stays_in_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -113,10 +119,9 @@ class TestBoundaryBand:
         assert boundary_band_accuracy(target, target, 1) == 1.0
         assert boundary_band_accuracy(target, target, 3) == 1.0
 
-    def test_uniform_target_signals_empty_band(self):
+    def test_uniform_target_scores_nan(self):
         uniform = np.zeros((4, 4), dtype=int)
-        with pytest.raises(EmptyBandError):
-            boundary_band_accuracy(uniform, uniform, 1)
+        assert math.isnan(boundary_band_accuracy(uniform, uniform, 1))
 
     def test_band_restricted_accuracy(self):
         target = np.repeat(np.array([0, 0, 1, 1])[:, None], 4, axis=1)
@@ -175,7 +180,7 @@ def reference_evaluate_miou(model, dataset):
 
 def reference_band_accuracy(model, dataset, band):
     """The per-sample loop ``dataset_boundary_band_accuracy`` used before it
-    scored one stack; None where it raised ``EmptyBandError``."""
+    scored one stack; None where no map has a class boundary."""
     correct = 0
     total = 0
     for image, labels in dataset:
@@ -238,11 +243,11 @@ class TestStackedMetricsMatchPerSampleLoops:
     def test_dataset_band_accuracy_equals_per_sample_loop(self, case):
         k, band, samples = case
         expected = reference_band_accuracy(EchoModel(k), samples, band)
+        got = dataset_boundary_band_accuracy(EchoModel(k), samples, band)
         if expected is None:
-            with pytest.raises(EmptyBandError):
-                dataset_boundary_band_accuracy(EchoModel(k), samples, band)
+            assert math.isnan(got)
         else:
-            assert dataset_boundary_band_accuracy(EchoModel(k), samples, band) == expected
+            assert got == expected
 
     @settings(max_examples=12, deadline=None)
     @given(kind=st.sampled_from(DATASET_KINDS), n=st.integers(1, 4), k=st.integers(2, 4),
