@@ -41,7 +41,7 @@ print(f"boundary-band accuracy (band=1): {boundary_band_accuracy(pred, labels, b
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.wgts"
     save_checkpoint(model, path)
-    reloaded = load_checkpoint(path, config)
+    reloaded = load_checkpoint(path)  # the file holds the config too
     again = evaluate_miou(reloaded, eval_set)
     print(f"\ncheckpoint round trip: mIoU {again.mean:.4f} "
           f"(bit-exact: {again.mean == result.mean})")

@@ -3,10 +3,11 @@
 Subcommands: ``gradcheck``, ``train``, ``eval``, ``ablate``, ``bench``.
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 
-Config files are line-oriented ``key = value`` text with ``#`` comments;
-the keys are exactly the fields of SegmenterConfig.  ``--override`` takes
-repeatable ``key=value`` pairs applied on top of the file (or the defaults
-when no file is given).
+Config files are line-oriented ``key = value`` text with ``#`` comments
+(``wingraph.model.parse_config_text``); the keys are exactly the fields of
+SegmenterConfig.  ``--override`` takes repeatable ``key=value`` pairs
+applied on top of the file (or the defaults when no file is given).
+``eval`` takes the config stored in its checkpoint; one given must equal it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import dataclasses
 import json
 import math
 import sys
-import typing
 from pathlib import Path
 
 from .bench import format_csv, run_benchmark
@@ -24,7 +24,8 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import synth_dataset
 from .gradcheck import SCOPE_NAMES, TOLERANCE, run_gradcheck
 from .metrics import boundary_band_accuracy, miou, predictions, write_iou_csv
-from .model import ConfigError, SegmenterConfig, build_model, check_array_budget
+from .model import (MAX_CONFIG_BYTES, ConfigError, SegmenterConfig, build_model, check_array_budget,
+                    parse_config_text, set_config_key)
 from .relation import FusionType
 from .train import TrainingDiverged, train
 
@@ -32,69 +33,15 @@ EVAL_SEED_OFFSET = 1000
 GRADCHECK_SEEDS = 5
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_stages(text: str) -> tuple[tuple[int, int, int], ...]:
-    """``2x2x2,1x4x4`` -> ((2,2,2), (1,4,4)); blocks x M x N per stage."""
-    stages = []
-    for part in text.split(","):
-        pieces = part.strip().split("x")
-        if len(pieces) != 3:
-            raise ValueError(f"stage {part!r} must be blocksxMxN")
-        stages.append(tuple(int(p) for p in pieces))
-    return tuple(stages)
-
-
-def _format_stages(stages: tuple[tuple[int, int, int], ...]) -> str:
-    return ",".join("x".join(str(p) for p in stage) for stage in stages)
-
-
-# (parse, format) per field type; a type not listed parses with itself and
-# formats with str, which covers int, float and str fields.
-_TYPE_CODECS = {
-    bool: (_parse_bool, lambda value: "true" if value else "false"),
-    FusionType: (FusionType, lambda value: value.value),
-    tuple: (_parse_stages, _format_stages),
-}
-_FIELD_CODECS = {name: _TYPE_CODECS.get(typing.get_origin(tp) or tp, (tp, str))
-                 for name, tp in typing.get_type_hints(SegmenterConfig).items()}
-
-
-def _set_key(values: dict, key: str, raw: str, origin: str) -> None:
-    if key not in _FIELD_CODECS:
-        raise ConfigError(f"{origin}: unknown config key {key!r}")
-    parse, _ = _FIELD_CODECS[key]
-    try:
-        values[key] = parse(raw.strip())
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
-
-
-def parse_config_text(text: str, origin: str = "config") -> dict:
-    values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
-        key, raw = stripped.split("=", 1)
-        _set_key(values, key.strip(), raw, f"{origin}:{lineno}")
-    return values
-
-
 def load_config(path: str | None, overrides: list[str], seed: int | None) -> SegmenterConfig:
     values: dict = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, "rb") as f:
+                data = f.read(MAX_CONFIG_BYTES + 1)
+            if len(data) > MAX_CONFIG_BYTES:
+                raise ConfigError(f"config {path} is over {MAX_CONFIG_BYTES} bytes")
+            text = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         values = parse_config_text(text, origin=path)
@@ -102,15 +49,10 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> Seg
         if "=" not in item:
             raise ConfigError(f"--override {item!r} must be KEY=VALUE")
         key, raw = item.split("=", 1)
-        _set_key(values, key.strip(), raw, "--override")
+        set_config_key(values, key.strip(), raw, "--override")
     if seed is not None:
         values["seed"] = seed
     return SegmenterConfig(**values)
-
-
-def format_config(config: SegmenterConfig) -> str:
-    lines = [f"{name} = {fmt(getattr(config, name))}" for name, (_, fmt) in _FIELD_CODECS.items()]
-    return "\n".join(lines) + "\n"
 
 
 def _out_files(out: str, *names: str) -> list[Path]:
@@ -199,7 +141,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config, args.override, args.seed)
+    given = args.config is not None or args.override or args.seed is not None
+    config = load_config(args.config, args.override, args.seed) if given else None
     metrics_path = _out_files(args.out, "metrics.csv")[0] if args.out else None
     model = load_checkpoint(args.checkpoint, config)
     result, boundary = _evaluate(model)

@@ -10,6 +10,7 @@ every weight is drawn deterministically from the config seed.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from itertools import islice
 
@@ -147,6 +148,75 @@ class SegmenterConfig:
     def graph_config(self) -> GraphConfig:
         return GraphConfig(variant=self.relation_variant,
                            theta_coefficient=self.theta_coefficient)
+
+
+# The most bytes of ``key = value`` config text that a ``--config`` file or a
+# checkpoint may hold; a full config is about 275 bytes.
+MAX_CONFIG_BYTES = 2 ** 16
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_stages(text: str) -> tuple[tuple[int, int, int], ...]:
+    """``2x2x2,1x4x4`` -> ((2,2,2), (1,4,4)); blocks x M x N per stage."""
+    stages = []
+    for part in text.split(","):
+        pieces = part.strip().split("x")
+        if len(pieces) != 3:
+            raise ValueError(f"stage {part!r} must be blocksxMxN")
+        stages.append(tuple(int(p) for p in pieces))
+    return tuple(stages)
+
+
+def _format_stages(stages: tuple[tuple[int, int, int], ...]) -> str:
+    return ",".join("x".join(str(p) for p in stage) for stage in stages)
+
+
+# (parse, format) per field type; a type not listed parses with itself and
+# formats with str, which covers int, float and str fields.
+_TYPE_CODECS = {
+    bool: (_parse_bool, lambda value: "true" if value else "false"),
+    FusionType: (FusionType, lambda value: value.value),
+    tuple: (_parse_stages, _format_stages),
+}
+_FIELD_CODECS = {name: _TYPE_CODECS.get(typing.get_origin(tp) or tp, (tp, str))
+                 for name, tp in typing.get_type_hints(SegmenterConfig).items()}
+
+
+def set_config_key(values: dict, key: str, raw: str, origin: str) -> None:
+    if key not in _FIELD_CODECS:
+        raise ConfigError(f"{origin}: unknown config key {key!r}")
+    parse, _ = _FIELD_CODECS[key]
+    try:
+        values[key] = parse(raw.strip())
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
+
+
+def parse_config_text(text: str, origin: str = "config") -> dict:
+    values: dict = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
+        key, raw = stripped.split("=", 1)
+        set_config_key(values, key.strip(), raw, f"{origin}:{lineno}")
+    return values
+
+
+def format_config(config: SegmenterConfig) -> str:
+    """Every field as one ``key = value`` line; ``parse_config_text`` reads it back to an equal config."""
+    lines = [f"{name} = {fmt(getattr(config, name))}" for name, (_, fmt) in _FIELD_CODECS.items()]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -19,7 +19,7 @@ from wingraph.data import synth_dataset
 from wingraph.gradcheck import TOLERANCE, run_gradcheck
 from wingraph.graph import make_theta, node_update, node_update_sparse, relation_cosine, relation_softmax, sparsify
 from wingraph.metrics import boundary_band_accuracy, evaluate_miou, miou, predictions
-from wingraph.model import SegmenterConfig, build_model, baseline_param_count, model_param_count
+from wingraph.model import ConfigError, SegmenterConfig, build_model, baseline_param_count, model_param_count
 from wingraph.relation import FusionType, RelationParams, graph_transformer_block
 from wingraph.tensor import Tensor
 from wingraph.train import train
@@ -241,7 +241,7 @@ def test_criterion_10_checkpoint_roundtrip(tmp_path):
     with pytest.raises(CheckpointError, match="truncated blob"):
         load_checkpoint(short, config)
 
-    with pytest.raises(CheckpointError, match="manifest mismatch"):
+    with pytest.raises(ConfigError, match="enable_gt = false given, enable_gt = true stored"):
         load_checkpoint(path, dataclasses.replace(config, enable_gt=False))
     _report(10, "save->load->evaluate bit-exact; bad magic, truncated blob and "
-                "structural mismatch all rejected with the declared errors")
+                "a config other than the stored one all rejected with the declared errors")

@@ -1,8 +1,10 @@
-"""Checkpoint format: bit-exact round trips and corruption detection."""
+"""Checkpoint format: bit-exact round trips, the stored config, and corruption detection."""
 
 import dataclasses
-import re
+import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,20 +12,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wingraph.checkpoint import (
+    HEADER,
     MAGIC,
     CheckpointError,
     load_checkpoint,
-    read_manifest,
     save_checkpoint,
 )
 from wingraph.cli import main
 from wingraph.data import synth_dataset
 from wingraph.metrics import evaluate_miou
-from wingraph.model import ConfigError, SegmenterConfig, build_model
+from wingraph.model import MAX_CONFIG_BYTES, ConfigError, SegmenterConfig, build_model, format_config, param_spec
 from wingraph.train import train
 
 TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
                       r_gr=2, r_lr=2, r_ba=2, dataset_size=2, steps=5)
+TOY_TEXT = format_config(TOY).encode("utf-8")
+BLOB_START = HEADER.size + len(TOY_TEXT)
 
 
 @pytest.fixture
@@ -34,6 +38,13 @@ def trained(tmp_path):
     path = tmp_path / "model.wgts"
     save_checkpoint(model, path)
     return model, dataset, path
+
+
+def _rewritten(path, raw):
+    """A file next to ``path`` holding ``raw``."""
+    bad = path.with_name("bad.wgts")
+    bad.write_bytes(bytes(raw))
+    return bad
 
 
 class TestRoundTrip:
@@ -50,117 +61,104 @@ class TestRoundTrip:
         assert before.mean == after.mean
         assert np.array_equal(before.confusion, after.confusion)
 
-    def test_magic_and_version(self, trained):
-        _, _, path = trained
-        raw = path.read_bytes()
-        assert raw[:4] == MAGIC
-        assert struct.unpack_from("<H", raw, 4)[0] == 1
+    def test_stored_config_alone_reproduces_the_evaluation(self, trained):
+        model, dataset, path = trained
+        loaded = load_checkpoint(path)
+        assert loaded.config == TOY
+        assert loaded.arena.tobytes() == model.arena.tobytes()
+        before, after = evaluate_miou(model, dataset), evaluate_miou(loaded, dataset)
+        assert before.mean == after.mean
+        assert np.array_equal(before.confusion, after.confusion)
 
-    def test_manifest_lists_every_parameter_in_order(self, trained):
+    def test_layout_is_header_config_text_and_arena(self, trained):
         model, _, path = trained
-        entries, _ = read_manifest(path.read_bytes())
-        assert [e.name for e in entries] == list(model.parameters())
-        for e in entries:
-            assert e.shape == model.parameters()[e.name].shape
-
-    def test_offsets_contiguous_non_overlapping(self, trained):
-        _, _, path = trained
-        entries, blob_start = read_manifest(path.read_bytes())
-        expected = 0
-        for e in entries:
-            assert e.offset == expected
-            expected += e.length
-        assert len(path.read_bytes()) == blob_start + expected
+        raw = path.read_bytes()
+        assert HEADER.unpack_from(raw) == (MAGIC, 2, len(TOY_TEXT))
+        assert raw[HEADER.size:BLOB_START] == TOY_TEXT
+        assert raw[BLOB_START:] == model.arena.astype("<f8").tobytes()
 
 
 class TestCorruption:
-    def test_bad_magic(self, trained, tmp_path):
+    def test_bad_magic(self, trained):
         _, _, path = trained
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
-        bad = tmp_path / "bad.wgts"
-        bad.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="bad magic"):
-            load_checkpoint(bad, TOY)
+            load_checkpoint(_rewritten(path, raw), TOY)
 
-    def test_truncated_blob(self, trained, tmp_path):
+    def test_truncated_blob(self, trained):
         _, _, path = trained
-        raw = path.read_bytes()
-        bad = tmp_path / "short.wgts"
-        bad.write_bytes(raw[:-16])
         with pytest.raises(CheckpointError, match="truncated blob"):
-            load_checkpoint(bad, TOY)
+            load_checkpoint(_rewritten(path, path.read_bytes()[:-16]), TOY)
 
-    def test_truncated_manifest(self, trained, tmp_path):
+    def test_truncated_config(self, trained):
         _, _, path = trained
-        bad = tmp_path / "header.wgts"
-        bad.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(CheckpointError, match="truncated manifest"):
-            load_checkpoint(bad, TOY)
+        with pytest.raises(CheckpointError, match="truncated config"):
+            load_checkpoint(_rewritten(path, path.read_bytes()[:HEADER.size + 5]), TOY)
 
-    def test_non_utf8_entry_name(self, trained, tmp_path):
+    def test_trailing_bytes(self, trained):
         _, _, path = trained
-        raw = bytearray(path.read_bytes())
-        raw[12] = 0xFF  # first byte of the first manifest entry name
-        bad = tmp_path / "name.wgts"
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="not valid utf-8"):
-            load_checkpoint(bad, TOY)
-
-    def test_size_overflow_rejected(self):
-        # 8 * 2**32 * 2**32 wraps to 0 in 64-bit arithmetic, matching length 0
-        raw = (MAGIC + struct.pack("<HI", 1, 1) + struct.pack("<H", 1) + b"w"
-               + struct.pack("<BB", 1, 2) + struct.pack("<2Q", 2**32, 2**32)
-               + struct.pack("<QQ", 0, 0))
-        with pytest.raises(CheckpointError, match="byte length 0 != shape size"):
-            read_manifest(raw)
-
-    def test_trailing_bytes(self, trained, tmp_path):
-        _, _, path = trained
-        bad = tmp_path / "long.wgts"
-        bad.write_bytes(path.read_bytes() + b"\0" * 8)
-        with pytest.raises(CheckpointError, match="trailing bytes"):
-            load_checkpoint(bad, TOY)
+        with pytest.raises(CheckpointError, match="trailing bytes after the blob"):
+            load_checkpoint(_rewritten(path, path.read_bytes() + b"\0" * 8), TOY)
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry_named(self, trained, tmp_path, bad_value):
+    def test_non_finite_parameter_named(self, trained, bad_value):
         _, _, path = trained
         raw = bytearray(path.read_bytes())
-        entries, blob_start = read_manifest(bytes(raw))
-        # Poison the last value of the second and third entries: the error
-        # names the second, the first in manifest order.
-        for e in entries[1:3]:
-            struct.pack_into("<d", raw, blob_start + e.offset + e.length - 8, bad_value)
-        bad = tmp_path / "nan.wgts"
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match=f"entry '{entries[1].name}' holds a NaN or an infinity"):
-            load_checkpoint(bad, TOY)
+        spec = param_spec(TOY)
+        ends = np.cumsum([math.prod(shape) for _, shape, _ in spec])
+        # Poison the last value of the second and third parameters: the
+        # error names the second, the first in param_spec order.
+        for end in ends[1:3]:
+            struct.pack_into("<d", raw, BLOB_START + 8 * (int(end) - 1), bad_value)
+        with pytest.raises(CheckpointError, match=f"parameter '{spec[1][0]}' holds a NaN or an infinity"):
+            load_checkpoint(_rewritten(path, raw), TOY)
 
-    def test_manifest_mismatch_different_structure(self, trained):
+    @pytest.mark.parametrize("version", [1, 9])
+    def test_other_versions_rejected(self, trained, version):
+        # Version 1 held a manifest of parameter names and shapes; no reader is kept.
         _, _, path = trained
-        other = dataclasses.replace(TOY, enable_ba=False)
-        with pytest.raises(CheckpointError, match="manifest mismatch"):
-            load_checkpoint(path, other)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<H", raw, 4, version)
+        with pytest.raises(CheckpointError, match=f"unsupported version {version}$"):
+            load_checkpoint(_rewritten(path, raw))
 
-    def test_manifest_mismatch_names_the_shape(self, trained):
+    def test_non_utf8_config_text(self, trained):
         _, _, path = trained
-        message = "'ba.squeeze' has shape [2, 4, 1, 1], model expects [4, 4, 1, 1]"
-        with pytest.raises(CheckpointError, match=re.escape(message)):
-            load_checkpoint(path, dataclasses.replace(TOY, r_ba=1))
+        raw = bytearray(path.read_bytes())
+        raw[HEADER.size] = 0xFF
+        with pytest.raises(CheckpointError, match="bad stored config: 'utf-8' codec"):
+            load_checkpoint(_rewritten(path, raw))
 
-    @pytest.mark.parametrize("config,message", [
-        (dataclasses.replace(TOY, enable_ba=False), "manifest mismatch: missing"),
-        (dataclasses.replace(TOY, r_ba=1), "manifest mismatch: 'ba.squeeze' has shape"),
-    ], ids=["names", "shapes"])
-    def test_mismatch_found_from_the_spec_before_any_build(self, trained, monkeypatch, config, message):
+    @pytest.mark.parametrize("line, edited, message", [
+        (b"C = 4", b"C = 0", "C must be positive, got 0"),
+        (b"fusion = gr_then_lr", b"fusion = gr_then_xx", "bad value for 'fusion'"),
+        (b"seed = 0", b"seee = 0", "unknown config key 'seee'"),
+    ], ids=["breaks_a_rule", "bad_value", "unknown_key"])
+    def test_bad_stored_config(self, trained, line, edited, message):
+        # Each edit keeps the text's length, so only the config text is wrong.
         _, _, path = trained
+        raw = path.read_bytes().replace(line, edited, 1)
+        with pytest.raises(CheckpointError, match=f"bad stored config: .*{message}"):
+            load_checkpoint(_rewritten(path, raw))
 
-        def no_build(config, arena):
-            raise AssertionError("a model was built before the manifest was checked")
+    def test_config_text_over_the_cap(self, trained):
+        _, _, path = trained
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 6, MAX_CONFIG_BYTES + 1)
+        with pytest.raises(CheckpointError, match=f"config text of {MAX_CONFIG_BYTES + 1} bytes is over"):
+            load_checkpoint(_rewritten(path, raw))
 
-        monkeypatch.setattr("wingraph.checkpoint.Segmenter", no_build)
-        with pytest.raises(CheckpointError, match=re.escape(message)):
-            load_checkpoint(path, config)
+    def test_disagreeing_config_names_every_differing_field(self, trained, monkeypatch):
+        _, _, path = trained
+        monkeypatch.setattr("wingraph.checkpoint.Segmenter", lambda config, arena: pytest.fail("built"))
+        given = dataclasses.replace(TOY, theta_coefficient=2.0, relation_variant="cosine")
+        message = ("config differs from the checkpoint's: theta_coefficient = 2.0 given, "
+                   "theta_coefficient = 0.25 stored; relation_variant = cosine given, "
+                   "relation_variant = softmax stored")
+        with pytest.raises(ConfigError) as info:
+            load_checkpoint(path, given)
+        assert str(info.value) == message
 
     def test_invalid_config_rejected_before_any_build(self, trained, monkeypatch):
         _, _, path = trained
@@ -168,51 +166,10 @@ class TestCorruption:
         with pytest.raises(ConfigError, match="r_gr=3 does not divide"):
             load_checkpoint(path, dataclasses.replace(TOY, r_gr=3))
 
-    @pytest.mark.parametrize("layout", ["permuted", "gapped"])
-    def test_entries_must_lie_back_to_back(self, trained, tmp_path, layout):
-        # Each file keeps every entry's offset pointing at that entry's own
-        # data, so a reader that follows the offsets would load it.
+    def test_failed_load_does_not_return_partial_model(self, trained):
         _, _, path = trained
-        raw = path.read_bytes()
-        entries, start = read_manifest(raw)
-        first, second = entries[:2]
-        blob, split = raw[start:], first.length + second.length
-        if layout == "permuted":  # the first two entries' data swapped
-            offsets = [second.length, 0] + [e.offset for e in entries[2:]]
-            blob = blob[first.length:split] + blob[:first.length] + blob[split:]
-            message = f"entry '{first.name}': blob offset {second.length}, expected 0"
-        else:  # an 8-byte NaN between the first two entries
-            offsets = [0] + [e.offset + 8 for e in entries[1:]]
-            blob = blob[:first.length] + struct.pack("<d", np.nan) + blob[first.length:]
-            message = f"entry '{second.name}': blob offset {first.length + 8}, expected {first.length}"
-        header = bytearray(raw[:start])
-        pos = 10
-        for e, offset in zip(entries, offsets):
-            pos += 2 + len(e.name.encode("utf-8")) + 2 + 8 * len(e.shape)
-            struct.pack_into("<Q", header, pos, offset)
-            pos += 16
-        bad = tmp_path / f"{layout}.wgts"
-        bad.write_bytes(bytes(header) + blob)
-        with pytest.raises(CheckpointError, match=re.escape(message)):
-            load_checkpoint(bad, TOY)
-        assert main(["eval", "--checkpoint", str(bad), *TOY_OVERRIDES]) == 2
-
-    def test_unsupported_version(self, trained, tmp_path):
-        _, _, path = trained
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<H", raw, 4, 9)
-        bad = tmp_path / "v9.wgts"
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="unsupported version"):
-            load_checkpoint(bad, TOY)
-
-    def test_failed_load_does_not_return_partial_model(self, trained, tmp_path):
-        _, _, path = trained
-        raw = path.read_bytes()
-        bad = tmp_path / "short.wgts"
-        bad.write_bytes(raw[:-8])
         with pytest.raises(CheckpointError):
-            load_checkpoint(bad, TOY)
+            load_checkpoint(_rewritten(path, path.read_bytes()[:-8]), TOY)
         # a fresh build still works and is untouched by the failed attempt
         fresh = build_model(TOY)
         ref = build_model(TOY)
@@ -220,10 +177,34 @@ class TestCorruption:
             assert np.array_equal(p.data, ref.parameters()[name].data)
 
 
-# The same architecture as TOY, spelled as `wingraph eval` overrides.
+class TestBoundedReads:
+    def test_sparse_gigabyte_file_is_rejected_reading_little(self, trained):
+        _, _, path = trained
+        os.truncate(path, 2 ** 30)  # sparse: no disk blocks past the blob
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="trailing bytes after the blob"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_dev_zero_is_bad_magic(self):
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero here")
+        with pytest.raises(CheckpointError, match="bad magic"):
+            load_checkpoint("/dev/zero")
+
+
+# The same model as TOY, spelled as `wingraph eval` overrides: a config
+# given to `eval` must equal the stored one.
 TOY_OVERRIDES = [arg for kv in ("C=4", "H=4", "W=4", "stages=1x2x2", "num_classes=2", "r_gr=2",
-                                "r_lr=2", "r_ba=2", "dataset_size=2") for arg in ("--override", kv)]
-FUZZ_SPAN = 600
+                                "r_lr=2", "r_ba=2", "dataset_size=2", "steps=5")
+                 for arg in ("--override", kv)]
+# The header, the config text and the first blob values.
+FUZZ_SPAN = BLOB_START + 300
+SEED_DIGIT = HEADER.size + TOY_TEXT.index(b"seed = 0") + len("seed = ")
 
 edits = st.one_of(
     st.tuples(st.just("mutate"), st.integers(0, FUZZ_SPAN - 1), st.integers(0, 255)),
@@ -241,25 +222,27 @@ def toy_checkpoint(tmp_path_factory):
     return path, path.read_bytes()
 
 
-def test_every_cut_before_the_blob_is_a_truncation(toy_checkpoint):
-    """A file cut short inside its fixed 10-byte header or anywhere in its
-    manifest is rejected as truncated, whichever field the cut splits."""
-    _, raw = toy_checkpoint
-    blob_start = read_manifest(raw)[1]
-    assert blob_start == 863
-    messages = []
-    for cut in range(blob_start):
+def test_every_cut_is_a_truncation(toy_checkpoint):
+    """A file cut short anywhere is rejected as truncated, naming the part
+    the cut falls in: the 10-byte header, the config text or the blob."""
+    path, raw = toy_checkpoint
+    cut_file = path.with_name("cut.wgts")
+    parts = []
+    for cut in range(len(raw)):
+        cut_file.write_bytes(raw[:cut])
         with pytest.raises(CheckpointError) as info:
-            read_manifest(raw[:cut])
-        messages.append(str(info.value))
-    assert messages == ["truncated header"] * 10 + ["truncated manifest"] * (blob_start - 10)
+            load_checkpoint(cut_file)
+        parts.append(str(info.value).split(":")[0])
+    assert parts == (["truncated header"] * HEADER.size + ["truncated config"] * len(TOY_TEXT)
+                     + ["truncated blob"] * (len(raw) - BLOB_START))
 
 
 @settings(max_examples=300, deadline=None)
 @given(edit=edits)
 @example(edit=("mutate", 0, MAGIC[0]))  # the file unchanged
-@example(edit=("mutate", 517, 248))  # a 248-d shape for stage0.gt.lr.unsqueeze
-def test_fuzzed_header_loads_or_is_rejected(toy_checkpoint, edit):
+@example(edit=("mutate", 4, 1))  # a version 1 file
+@example(edit=("mutate", SEED_DIGIT, ord("7")))  # a loadable file of another config
+def test_fuzzed_file_loads_or_is_rejected(toy_checkpoint, edit):
     path, raw = toy_checkpoint
     assert len(raw) > FUZZ_SPAN
     kind, pos = edit[0], edit[1]
@@ -274,6 +257,6 @@ def test_fuzzed_header_loads_or_is_rejected(toy_checkpoint, edit):
     try:
         load_checkpoint(bad, TOY)
         expected = 0
-    except CheckpointError:
+    except (CheckpointError, ConfigError):
         expected = 2
     assert main(["eval", "--checkpoint", str(bad), *TOY_OVERRIDES]) == expected

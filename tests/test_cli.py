@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from wingraph import model, tensor
 from wingraph.checkpoint import save_checkpoint
-from wingraph.cli import format_config, load_config, main, parse_config_text
+from wingraph.cli import load_config, main
+from wingraph.model import MAX_CONFIG_BYTES, format_config, parse_config_text
 from wingraph.data import DATASET_KINDS
 from wingraph.graph import _VARIANTS
 from wingraph.model import ConfigError, Segmenter, SegmenterConfig, build_model
@@ -105,6 +106,12 @@ class TestConfigText:
         path.write_text("C = 8\nseed = 3\n")
         config = load_config(str(path), ["C=16"], seed=None)
         assert config.C == 16 and config.seed == 3
+
+    def test_config_over_the_cap_is_refused(self, tmp_path):
+        path = tmp_path / "long.cfg"
+        path.write_text("# padding\n" * (MAX_CONFIG_BYTES // 10 + 1) + "C = 16\n")
+        with pytest.raises(ConfigError, match=f"is over {MAX_CONFIG_BYTES} bytes"):
+            load_config(str(path), [], seed=None)
 
     def test_seed_flag_wins_over_everything(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -265,15 +272,16 @@ class TestEvalCommand:
         assert "boundary band accuracy nan" not in capsys.readouterr().out
         assert sorted(calls.values()) == [1, 1]  # dataset_size=2 distinct images
 
-    def test_non_utf8_manifest_name_exits_two(self, tmp_path, capsys):
+    def test_non_utf8_stored_config_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--out", str(out)] + FAST) == 0
         ckpt = out / "checkpoint.wgts"
         raw = bytearray(ckpt.read_bytes())
-        raw[12] = 0xFF  # first byte of the first manifest entry name
+        raw[10] = 0xFF  # first byte of the stored config text
         ckpt.write_bytes(bytes(raw))
-        assert main(["eval", "--checkpoint", str(ckpt)] + FAST) == 2
-        assert "not valid utf-8" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "bad stored config" in err and "utf-8" in err and "Traceback" not in err
 
     def test_trailing_bytes_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -301,13 +309,35 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", ckpt, "--out", ckpt] + FAST) == 2
         assert "cannot create output directory" in capsys.readouterr().err
 
-    def test_structural_mismatch_exits_two(self, tmp_path, capsys):
+    def test_without_flags_reproduces_the_training_run(self, tmp_path, capsys):
+        # The relation variant and theta leave no trace in the weights; the
+        # stored config carries them.
+        out, again = tmp_path / "run", tmp_path / "again"
+        cosine = FAST + ["--override", "relation_variant=cosine", "--override", "theta_coefficient=0.5"]
+        assert main(["train", "--out", str(out)] + cosine) == 0
+        trained = capsys.readouterr().out.split("eval mIoU ")[1].strip()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.wgts"), "--out", str(again)]) == 0
+        assert capsys.readouterr().out.startswith(f"eval mIoU {trained}, ")
+        assert (again / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--override", "enable_ba=false"], ["enable_ba = false given, enable_ba = true stored"]),
+        (["--override", "theta_coefficient=2", "--override", "relation_variant=cosine"],
+         ["theta_coefficient = 2.0 given, theta_coefficient = 0.25 stored",
+          "relation_variant = cosine given, relation_variant = softmax stored"]),
+        (["--seed", "7"], ["seed = 7 given, seed = 0 stored"]),
+        (["--config", "{config}"], ["fusion = parallel given, fusion = gr_then_lr stored"]),
+    ], ids=["override", "two_fields", "seed", "config_file"])
+    def test_disagreeing_config_exits_two_naming_the_fields(self, tmp_path, capsys, flags, named):
         out = tmp_path / "run"
         assert main(["train", "--out", str(out)] + FAST) == 0
-        ckpt = str(out / "checkpoint.wgts")
-        code = main(["eval", "--checkpoint", ckpt, "--override", "enable_ba=false"] + FAST)
-        assert code == 2
-        assert "manifest mismatch" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("fusion = parallel\n")
+        flags = [flag.format(config=config) for flag in flags]
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.wgts")] + FAST + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config differs from the checkpoint's: ")
+        assert all(field in err for field in named) and err.count(" given, ") == len(named)
 
 
 class TestAblateCommand:
@@ -384,6 +414,20 @@ def _eval_command(tmp_path):
     return ["eval", "--checkpoint", str(path)]
 
 
+def _config_dev_zero(tmp_path):
+    """``/dev/zero`` as the config: an endless file, which must not be read whole."""
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero here")
+    return ["train", "--config", "/dev/zero"]
+
+
+def _config_over_the_cap(tmp_path):
+    path = tmp_path / "sparse.cfg"
+    path.write_bytes(b"")
+    os.truncate(path, 2 ** 24)  # sparse: no disk blocks, but far over MAX_CONFIG_BYTES
+    return ["train", "--config", str(path)]
+
+
 def _config_line_without_equals(tmp_path):
     path = tmp_path / "no_equals.cfg"
     path.write_text("C 4\n")
@@ -397,6 +441,8 @@ def _bad_override(item):
 UNREADABLE_INPUTS = {
     "missing_config": lambda tmp_path: ["train", "--config", str(tmp_path / "missing.cfg")],
     "non_utf8_config": _non_utf8_config,
+    "config_is_dev_zero": _config_dev_zero,
+    "config_over_the_size_cap": _config_over_the_cap,
     "missing_checkpoint": lambda tmp_path: ["eval", "--checkpoint", str(tmp_path / "none.wgts")],
     "bench_zero_repeats": lambda tmp_path: ["bench", "--repeats", "0"],
     "bench_zero_K": lambda tmp_path: ["bench", "--K", "0"],
