@@ -19,13 +19,15 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bench import format_csv, run_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import synth_dataset
 from .gradcheck import SCOPE_NAMES, TOLERANCE, run_gradcheck
 from .metrics import boundary_band_accuracy, miou, predictions, write_iou_csv
-from .model import (MAX_CONFIG_BYTES, ConfigError, SegmenterConfig, build_model, check_array_budget,
-                    parse_config_text, set_config_key)
+from .model import (MAX_CONFIG_BYTES, ConfigError, NonFiniteLogits, SegmenterConfig, build_model,
+                    check_array_budget, parse_config_text, set_config_key)
 from .relation import FusionType
 from .train import TrainingDiverged, train
 
@@ -86,11 +88,13 @@ def _build_and_train(config: SegmenterConfig):
 
 def _evaluate(model):
     """(mIoU result, boundary band accuracy) on ``model.config``'s evaluation
-    set; the band accuracy is nan when no label map there has a class boundary."""
+    set; the band accuracy is nan when no label map there has a class boundary.
+    Non-finite logits raise ``NonFiniteLogits``, which numpy's warnings would only repeat."""
     config = model.config
     eval_set = synth_dataset(config.dataset, config.dataset_size, config.H, config.W,
                              config.num_classes, config.seed + EVAL_SEED_OFFSET)
-    pred, labels = predictions(model, eval_set)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pred, labels = predictions(model, eval_set)
     return miou(pred, labels, config.num_classes), boundary_band_accuracy(pred, labels, band=1)
 
 
@@ -145,7 +149,10 @@ def cmd_eval(args) -> int:
     config = load_config(args.config, args.override, args.seed) if given else None
     metrics_path = _out_files(args.out, "metrics.csv")[0] if args.out else None
     model = load_checkpoint(args.checkpoint, config)
-    result, boundary = _evaluate(model)
+    try:
+        result, boundary = _evaluate(model)
+    except NonFiniteLogits as exc:
+        raise CheckpointError(f"{args.checkpoint}: {exc} on an evaluation image") from exc
     if metrics_path:
         write_iou_csv(metrics_path, result.per_class)
     print(f"eval mIoU {result.mean:.4f}, boundary band accuracy {boundary:.4f}")
@@ -252,7 +259,8 @@ def main(argv=None) -> int:
     except (ConfigError, CheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TrainingDiverged as exc:
+    # NonFiniteLogits reaching here comes from evaluating a model that train or ablate just trained.
+    except (TrainingDiverged, NonFiniteLogits) as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
 

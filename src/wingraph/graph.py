@@ -221,8 +221,9 @@ def node_update_dense_data(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         out = np.add.accumulate(steps, axis=-2, out=steps)[..., -1, :]
     else:
         out = np.zeros(cols.shape[:-1] + rows.shape[-1:])
+        step = np.empty_like(out)
         for j in range(k):
-            out += cols[..., :, j, None] * rows[..., j, None, :]
+            out += np.multiply(cols[..., :, j, None], rows[..., j, None, :], out=step)
     return np.ascontiguousarray(out.mT if transposed else out)
 
 
@@ -285,14 +286,14 @@ def _graph_round(xd: np.ndarray, wd: np.ndarray, cfg: GraphConfig):
         rel = _softmax_data(dots, out=dots)
     else:
         rel, safe, nonzero = _cosine_data(xd)
-    # ``rel`` stays unpruned: both relation backwards read it.
+    # ``rel`` stays unpruned: both relation backwards read it, and the
+    # pullback rebuilds the pruned copy from it rather than keep both.
     _, mask = _above(rel, make_theta(rel, cfg.theta_coefficient))
-    kept = _mask_data(rel, mask)
-    prop = node_update_dense_data(kept, xd)
+    prop = node_update_dense_data(_mask_data(rel, mask), xd)
 
     def pullback(g):
         d_prop, dw = _matmul_grads(prop, wd, g)
-        d_kept, dx = _matmul_grads(kept, xd, d_prop)
+        d_kept, dx = _matmul_grads(_mask_data(rel, mask), xd, d_prop)
         d_rel = _mask_data(d_kept, mask)
         if variant == VARIANT_SOFTMAX:
             dx_a, dx_t = _matmul_grads(xd, xt, _softmax_grad(rel, d_rel))

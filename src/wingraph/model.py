@@ -44,6 +44,11 @@ class ConfigError(ValueError):
     """A segmenter configuration violates a named constraint."""
 
 
+class NonFiniteLogits(ValueError):
+    """``Segmenter.predict`` met a NaN or an infinity among its logits, so no class
+    decision is defined."""
+
+
 # The most float64 values any one array may hold: 2**27, 1 GiB.  A config or
 # ``bench`` request whose closed-form array sizes exceed it is refused before
 # anything is allocated; every shipped configuration is far below it.
@@ -271,10 +276,13 @@ class WindowAttention:
             d_scores = _softmax_grad(att, d_att)
             d_scores *= scale
             dq, d_kt = _matmul_grads(q, kt, d_scores)
-            d_tok_q, dwq = _matmul_grads(tokens, wq, dq)
+            # The tape holds x, so the tokens are rebuilt here, not kept.
+            tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
+            d_tokens, dwq = _matmul_grads(tokens, wq, dq)
             d_tok_k, dwk = _matmul_grads(tokens, wk, d_kt.mT)
             d_tok_v, dwv = _matmul_grads(tokens, wv, dv)
-            d_tokens = (d_tok_q + d_tok_k) + d_tok_v
+            d_tokens += d_tok_k  # each is a fresh product, so summed in place
+            d_tokens += d_tok_v
             return g + _regroup_data(d_tokens, *from_tokens), dwq, dwk, dwv
 
         return _op(x.data + _regroup_data(mixed, *from_tokens), (x, self.wq, self.wk, self.wv), _bw)
@@ -351,14 +359,20 @@ class Segmenter:
         ``forward`` runs with every parameter's ``requires_grad`` cleared, so
         no op records tape links and each intermediate is freed once used;
         the flags are set again afterwards, also when ``forward`` raises.
+        Logits that are not all finite raise ``NonFiniteLogits``: argmax would
+        turn them into classes.
         """
         for p in self._params.values():
             p.requires_grad = False
         try:
-            return self.forward(image).data.argmax(axis=0)
+            logits = self.forward(image).data
         finally:
             for p in self._params.values():
                 p.requires_grad = True
+        finite = np.isfinite(logits)
+        if not finite.all():
+            raise NonFiniteLogits(f"{logits.size - np.count_nonzero(finite)} of {logits.size} logits are not finite")
+        return logits.argmax(axis=0)
 
 
 def param_spec(config: SegmenterConfig) -> list[SpecRow]:

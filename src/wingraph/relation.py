@@ -104,18 +104,20 @@ def _residual(x: Tensor, grid: WindowGrid, branches: list[tuple[RelationParams, 
               cfg: GraphConfig) -> Tensor:
     """``x`` plus the corrections of ``branches``, (params, layout) pairs, as one tape op."""
     _check_map(x, grid)
-    corrections = [_correction(x.data, grid, params, layout, cfg) for params, layout in branches]
+    # Backward reads only the pullbacks; the corrections are freed on return.
+    corrections, pullbacks = zip(*(_correction(x.data, grid, params, layout, cfg)
+                                   for params, layout in branches))
 
     def _bw(g):
         dx, d_params = g, []
-        for _, pullback in corrections:
+        for pullback in pullbacks:
             d_branch, *d_weights = pullback(g)
             dx = dx + d_branch
             d_params += d_weights
         return dx, *d_params
 
-    u = reduce(np.add, (u for u, _ in corrections))
-    return _op(x.data + u, (x, *(p for params, _ in branches for p in params.named_parameters())), _bw)
+    return _op(x.data + reduce(np.add, corrections),
+               (x, *(p for params, _ in branches for p in params.named_parameters())), _bw)
 
 
 def global_relation(x: Tensor, grid: WindowGrid, params: RelationParams,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import pixel_accuracy, predictions
-from .model import Segmenter
+from .model import NonFiniteLogits, Segmenter
 from .tensor import Tensor, backward, cross_entropy_logits
 
 
@@ -42,8 +42,9 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
     report = TrainingReport()
     # p.data -= lr * p.grad for every parameter at once, into one reused buffer
     update = np.empty_like(model.arena)
-    # A diverging run overflows to inf and nan; the loss and gradient checks
-    # report that as TrainingDiverged, so numpy's warnings would only repeat it.
+    # A diverging run overflows to inf and nan; the loss, gradient and closing
+    # logit checks report that as TrainingDiverged, so numpy's warnings would
+    # only repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(steps):
             image, labels = dataset[step % len(dataset)]
@@ -60,7 +61,10 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
                 raise TrainingDiverged(f"non-finite gradient of {name} at step {step} (lr={lr})")
             np.multiply(lr, model.grad_arena, out=update)
             model.arena -= update
+        try:
+            report.final_pixel_accuracy = pixel_accuracy(*predictions(model, dataset))
+        except NonFiniteLogits as exc:
+            raise TrainingDiverged(f"{exc} after {steps} steps (lr={lr})") from exc
     if report.losses:
         report.final_loss = report.losses[-1]
-    report.final_pixel_accuracy = pixel_accuracy(*predictions(model, dataset))
     return report

@@ -18,7 +18,7 @@ from wingraph.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from wingraph.cli import main
+from wingraph.cli import EVAL_SEED_OFFSET, main
 from wingraph.data import synth_dataset
 from wingraph.metrics import evaluate_miou
 from wingraph.model import MAX_CONFIG_BYTES, ConfigError, SegmenterConfig, build_model, format_config, param_spec
@@ -242,6 +242,7 @@ def test_every_cut_is_a_truncation(toy_checkpoint):
 @example(edit=("mutate", 0, MAGIC[0]))  # the file unchanged
 @example(edit=("mutate", 4, 1))  # a version 1 file
 @example(edit=("mutate", SEED_DIGIT, ord("7")))  # a loadable file of another config
+@example(edit=("mutate", BLOB_START + 7, 0x7E))  # a first stem value near 1e300: the logits overflow
 def test_fuzzed_file_loads_or_is_rejected(toy_checkpoint, edit):
     path, raw = toy_checkpoint
     assert len(raw) > FUZZ_SPAN
@@ -255,8 +256,14 @@ def test_fuzzed_file_loads_or_is_rejected(toy_checkpoint, edit):
     bad = path.with_name("fuzzed.wgts")
     bad.write_bytes(fuzzed)
     try:
-        load_checkpoint(bad, TOY)
-        expected = 0
+        model = load_checkpoint(bad, TOY)
     except (CheckpointError, ConfigError):
         expected = 2
+    else:
+        # A loadable file whose values overflow the logits of an evaluation image is refused too.
+        c = model.config
+        eval_set = synth_dataset(c.dataset, c.dataset_size, c.H, c.W, c.num_classes, c.seed + EVAL_SEED_OFFSET)
+        with np.errstate(all="ignore"):
+            finite = all(np.isfinite(model.forward(image).data).all() for image, _ in eval_set)
+        expected = 0 if finite else 2
     assert main(["eval", "--checkpoint", str(bad), *TOY_OVERRIDES]) == expected

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,16 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "bad stored config" in err and "utf-8" in err and "Traceback" not in err
 
+    def test_overflowing_checkpoint_is_one_line_without_warnings(self, tmp_path, capsys):
+        command = _overflowing_checkpoint(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {command[-1]}: 192 of 192 logits are not finite "
+                                "on an evaluation image\n")
+
     def test_trailing_bytes_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--out", str(out)] + FAST) == 0
@@ -414,6 +425,15 @@ def _eval_command(tmp_path):
     return ["eval", "--checkpoint", str(path)]
 
 
+def _overflowing_checkpoint(tmp_path):
+    """``eval`` of a loadable checkpoint whose first stem value, 1e300, overflows the logits."""
+    path = tmp_path / "overflowing.wgts"
+    overflowing = build_model(SegmenterConfig())
+    overflowing.parameters()["stem"].data[0, 0, 0, 0] = 1e300
+    save_checkpoint(overflowing, path)
+    return ["eval", "--checkpoint", str(path)]
+
+
 def _config_dev_zero(tmp_path):
     """``/dev/zero`` as the config: an endless file, which must not be read whole."""
     if not os.path.exists("/dev/zero"):
@@ -444,6 +464,7 @@ UNREADABLE_INPUTS = {
     "config_is_dev_zero": _config_dev_zero,
     "config_over_the_size_cap": _config_over_the_cap,
     "missing_checkpoint": lambda tmp_path: ["eval", "--checkpoint", str(tmp_path / "none.wgts")],
+    "checkpoint_overflows_the_logits": _overflowing_checkpoint,
     "bench_zero_repeats": lambda tmp_path: ["bench", "--repeats", "0"],
     "bench_zero_K": lambda tmp_path: ["bench", "--K", "0"],
     "bench_zero_D": lambda tmp_path: ["bench", "--D", "0"],

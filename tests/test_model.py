@@ -1,6 +1,7 @@
 """Model assembly: validation, determinism, parameter-count closed forms."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wingraph import model as model_module
 from wingraph.checkpoint import load_checkpoint, save_checkpoint
 from wingraph.model import (
     ConfigError,
+    NonFiniteLogits,
     Segmenter,
     SegmenterConfig,
     baseline_param_count,
@@ -189,18 +191,19 @@ def tape_ops(out) -> int:
     return count
 
 
+# The benchmark's toy and medium training scales.
+TAPE_SCALES = {"toy": dict(C=16, H=8, W=8, stages=((2, 2, 2), (2, 2, 2))),
+               "medium": dict(C=32, H=32, W=32, stages=((2, 4, 4), (2, 4, 4)))}
+
+
 class TestTapeSize:
-    # The benchmark's toy and medium training scales: windows are one stack
-    # axis, so the tape does not grow with the window count, and each module
-    # scope is one op, whatever the relation.  Per stage: 2 attention blocks
-    # and the 2 graph branches; then stem, the boundary gate, head and loss:
-    # 2 * (2 + 2) + 4 = 12.  Parallel fusion records both branches as one
-    # op: 2 * (2 + 1) + 4 = 10.
+    # Windows are one stack axis, so the tape does not grow with the window
+    # count, and each module scope is one op, whatever the relation.  Per
+    # stage: 2 attention blocks and the 2 graph branches; then stem, the
+    # boundary gate, head and loss: 2 * (2 + 2) + 4 = 12.  Parallel fusion
+    # records both branches as one op: 2 * (2 + 1) + 4 = 10.
     @pytest.mark.parametrize("variant", ["softmax", "cosine"])
-    @pytest.mark.parametrize("scale", [
-        dict(C=16, H=8, W=8, stages=((2, 2, 2), (2, 2, 2))),
-        dict(C=32, H=32, W=32, stages=((2, 4, 4), (2, 4, 4))),
-    ], ids=["toy", "medium"])
+    @pytest.mark.parametrize("scale", list(TAPE_SCALES.values()), ids=list(TAPE_SCALES))
     @pytest.mark.parametrize("fusion,ops", [(FusionType.GR_THEN_LR, 12), (FusionType.PARALLEL, 10)],
                              ids=["series", "parallel"])
     def test_training_loss_records_one_op_per_scope(self, scale, variant, fusion, ops):
@@ -208,6 +211,53 @@ class TestTapeSize:
         image, labels = synth_dataset("blobs", 1, config.H, config.W, config.num_classes, 0)[0]
         loss = cross_entropy_logits(build_model(config).forward(image), labels)
         assert tape_ops(loss) == ops
+
+    # What a training forward leaves allocated is its tape.  No op keeps an
+    # array that its backward does not read or rebuilds in one pass: a branch's
+    # correction, a round's pruned relation, an attention block's tokens.
+    # Measured bytes, series / parallel: toy 281-286K / 263-266K, medium
+    # 9.66-9.71M / 9.14-9.18M.  Holding those three arrays too reads toy
+    # 366-371K / 349K and medium 12.81-12.86M / 12.29-12.34M, over each bound.
+    @pytest.mark.parametrize("variant", ["softmax", "cosine"])
+    @pytest.mark.parametrize("scale,fusion,bound", [
+        (TAPE_SCALES["toy"], FusionType.GR_THEN_LR, 300_000),
+        (TAPE_SCALES["toy"], FusionType.PARALLEL, 280_000),
+        (TAPE_SCALES["medium"], FusionType.GR_THEN_LR, 10_000_000),
+        (TAPE_SCALES["medium"], FusionType.PARALLEL, 9_500_000),
+    ], ids=["toy-series", "toy-parallel", "medium-series", "medium-parallel"])
+    def test_training_forward_holds_only_what_backward_reads(self, scale, variant, fusion, bound):
+        config = SegmenterConfig(**scale, relation_variant=variant, fusion=fusion)
+        model = build_model(config)
+        image, labels = synth_dataset("blobs", 1, config.H, config.W, config.num_classes, 0)[0]
+        tracemalloc.start()
+        try:
+            loss = cross_entropy_logits(model.forward(image), labels)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tape_ops(loss) and held < bound
+
+
+class TestRepeatedBackward:
+    """The tape survives ``backward``: a second call accumulates the same
+    gradients again, so no pullback may change what it or another one reads."""
+
+    @pytest.mark.parametrize("fusion", list(FusionType), ids=lambda f: f.value)
+    @pytest.mark.parametrize("variant", ["softmax", "cosine"])
+    def test_second_backward_adds_the_same_gradients(self, variant, fusion):
+        config = SegmenterConfig(**TAPE_SCALES["toy"], relation_variant=variant, fusion=fusion)
+        model = build_model(config)
+        rng = np.random.default_rng(5)
+        for name, p in model.parameters().items():
+            if name.endswith(".unsqueeze"):  # zero at init, which would hide the graph rounds' gradients
+                p.data = rng.normal(0.0, 0.1, p.shape)
+        image, labels = synth_dataset("blobs", 1, config.H, config.W, config.num_classes, 0)[0]
+        loss = cross_entropy_logits(model.forward(image), labels)
+        backward(loss)
+        once = model.grad_arena.copy()
+        backward(loss)
+        assert np.isfinite(once).all() and all(p.grad.any() for p in model.parameters().values())
+        assert model.grad_arena.tobytes() == (2.0 * once).tobytes()
 
 
 class TestTapeFreePredict:
@@ -262,6 +312,15 @@ class TestTapeFreePredict:
         assert self.step_grads(model, image2, labels2) == self.step_grads(fresh, image2, labels2)
         model.predict(image)
         assert self.step_grads(model, image, labels) == self.step_grads(fresh, image, labels)
+
+    @pytest.mark.parametrize("value", [1e300, np.inf], ids=["overflowing", "infinite"])
+    def test_non_finite_logits_raise(self, value):
+        model = build_model(TOY)
+        image = synth_dataset("blobs", 1, 4, 4, 2, 3)[0][0]
+        model.parameters()["stem"].data[0, 0, 0, 0] = value
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLogits, match=r"^32 of 32 logits are not finite$"):
+            model.predict(image)
+        assert all(p.requires_grad for p in model.parameters().values())
 
 
 def assert_in_arenas(model) -> None:

@@ -1,6 +1,7 @@
 """Training loop: determinism, overfitting, divergence handling."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ class TestTrain:
             train(model, toy_dataset(), steps=5, lr=0.1)
         assert np.isfinite(steps).all()
         assert np.isfinite(model.arena).all()
+
+    def test_non_finite_closing_logits_diverge(self):
+        # The loss of a step and its gradients are checked in the loop; the
+        # closing accuracy pass checks the logits of the model it leaves.
+        model = build_model(TOY)
+        model.parameters()["stem"].data[0, 0, 0, 0] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy's overflow warnings stay silent
+            with pytest.raises(TrainingDiverged, match=r"^32 of 32 logits are not finite after 0 steps \(lr=0\.1\)$"):
+                train(model, toy_dataset(), steps=0, lr=0.1)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
