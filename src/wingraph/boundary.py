@@ -11,7 +11,8 @@ annotation is involved anywhere.
 raw helper ``_gate`` (``_conv2d`` -> ``_conv2d`` -> ``_gelu`` -> ``_conv2d``
 -> ``_sigmoid``), and are byte-identical to the op chain of the public ops
 (then ``hadamard``); ``ba_apply``'s input gets its gradient as g * a + the
-gate's part.
+gate's part.  Both also take an [N, C, H, W] stack of images, as ``conv2d``
+does.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class BAParams:
 
 def _gate(yd: np.ndarray, params: BAParams):
     """The coefficients of raw ``yd`` and their pullback to (y, squeeze, local, unsqueeze)."""
-    if yd.ndim != 3:
-        raise ValueError(f"ba_coefficients: need [C,H,W] features, got {list(yd.shape)}")
+    if yd.ndim not in (3, 4):
+        raise ValueError(f"ba_coefficients: need [C,H,W] or [N,C,H,W] features, got {list(yd.shape)}")
     h, squeeze_pb = _conv2d(yd, params.squeeze.data)
     h, local_pb = _conv2d(h, params.local.data)
     h, gelu_pb = _gelu(h)

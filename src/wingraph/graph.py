@@ -281,13 +281,13 @@ def _graph_round(xd: np.ndarray, wd: np.ndarray, cfg: GraphConfig):
     if variant == VARIANT_SOFTMAX:
         # The transposed nodes are a contiguous copy, as the chain's
         # ``transpose`` op made, so the product gets the same BLAS call.
-        xt = np.ascontiguousarray(xd.mT)
-        dots = _matmul_data(xd, xt)
+        dots = _matmul_data(xd, np.ascontiguousarray(xd.mT))
         rel = _softmax_data(dots, out=dots)
     else:
         rel, safe, nonzero = _cosine_data(xd)
     # ``rel`` stays unpruned: both relation backwards read it, and the
-    # pullback rebuilds the pruned copy from it rather than keep both.
+    # pullback rebuilds the pruned copy from it rather than keep both, as
+    # it rebuilds the transposed nodes from ``xd``.
     _, mask = _above(rel, make_theta(rel, cfg.theta_coefficient))
     prop = node_update_dense_data(_mask_data(rel, mask), xd)
 
@@ -296,7 +296,7 @@ def _graph_round(xd: np.ndarray, wd: np.ndarray, cfg: GraphConfig):
         d_kept, dx = _matmul_grads(_mask_data(rel, mask), xd, d_prop)
         d_rel = _mask_data(d_kept, mask)
         if variant == VARIANT_SOFTMAX:
-            dx_a, dx_t = _matmul_grads(xd, xt, _softmax_grad(rel, d_rel))
+            dx_a, dx_t = _matmul_grads(xd, np.ascontiguousarray(xd.mT), _softmax_grad(rel, d_rel))
             return (dx + dx_a) + dx_t.mT, dw
         return dx + _cosine_grad(xd, rel, safe, nonzero, d_rel), dw
 

@@ -15,6 +15,11 @@ Each branch records one tape op, ``x + u``; parallel fusion one op,
 contiguous as a ``Tensor`` is, so it is byte-identical to the public op
 chain.  The input gets its gradient as g + the squeeze's part, or under
 parallel fusion (g + the global squeeze's part) + the local one.
+
+A branch also takes an [N, C, H, W] stack of images: the global view then
+relates an [N, K, D] stack of per-image graphs and the local view an
+[N*K, T, D] stack of per-window ones, so each image's slices are the calls
+its own map makes.
 """
 
 from __future__ import annotations
@@ -76,10 +81,11 @@ class RelationParams:
 
 
 def _correction(xd: np.ndarray, grid: WindowGrid, params: RelationParams, layout: str,
-                cfg: GraphConfig):
-    """A branch's correction of raw ``xd`` and its pullback to (x, *params.named_parameters());
-    ``layout`` is "nodes" for the global view, "tokens" for the local one."""
-    there, back = _layout_moves(grid, layout, params.squeeze.shape[0])
+                cfg: GraphConfig, images: int | None = None):
+    """A branch's correction of raw ``xd``, one map or a stack of ``images``, and its pullback
+    to (x, *params.named_parameters()); ``layout`` is "nodes" for the global view, "tokens"
+    for the local one."""
+    there, back = _layout_moves(grid, layout, params.squeeze.shape[0], images)
     squeezed, squeeze_pb = _conv2d(xd, params.squeeze.data)
     nodes = np.ascontiguousarray(_regroup_data(squeezed, *there))
     round_pbs = []
@@ -103,9 +109,9 @@ def _correction(xd: np.ndarray, grid: WindowGrid, params: RelationParams, layout
 def _residual(x: Tensor, grid: WindowGrid, branches: list[tuple[RelationParams, str]],
               cfg: GraphConfig) -> Tensor:
     """``x`` plus the corrections of ``branches``, (params, layout) pairs, as one tape op."""
-    _check_map(x, grid)
+    images = _check_map(x, grid)
     # Backward reads only the pullbacks; the corrections are freed on return.
-    corrections, pullbacks = zip(*(_correction(x.data, grid, params, layout, cfg)
+    corrections, pullbacks = zip(*(_correction(x.data, grid, params, layout, cfg, images)
                                    for params, layout in branches))
 
     def _bw(g):

@@ -38,7 +38,10 @@ parallel-fused block's input as (g + global branch) + local branch.
 ``conv2d`` leans on the same slice equality: a k x k kernel takes one
 stacked product of all k*k offsets on small maps and one per kernel row on
 wide ones (the size rule is ``_CONV_ONE_STACK_FLOATS``), and the per-offset
-products are still summed in ascending (i, j) order from a zero start.
+products are still summed in ascending (i, j) order from a zero start.  It
+also takes an optional leading image axis, [N, C, H, W]: each image's slice
+is the product its own call takes, the size rule is applied per image, and
+the shared weights' gradient adds the images' parts in ascending order.
 """
 
 from __future__ import annotations
@@ -277,15 +280,20 @@ def _matmul_grads(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> tuple[np.nda
     db = np.matmul(ad.mT, g)
     if db.ndim > bd.ndim:
         # A shared b receives the sum of every slice's contribution, added
-        # in ascending slice order as a loop of rank-2 calls would add
-        # them (sum() may pair them up differently).  db is private here,
-        # so the running sum accumulates in place into its first slice
-        # rather than building all B partial sums.
-        acc = db[0]
-        for i in range(1, db.shape[0]):
-            acc += db[i]
-        db = acc
+        # in ascending slice order as a loop of rank-2 calls would add them.
+        db = _ascending_sum(db)
     return da, db
+
+
+def _ascending_sum(parts: np.ndarray) -> np.ndarray:
+    """``parts[0] + parts[1] + ...`` over the leading axis, in ascending order
+    (``sum()`` may pair them up differently).  The caller gives ``parts`` up,
+    so the running sum accumulates in place into its first slice rather than
+    building all the partial sums."""
+    acc = parts[0]
+    for i in range(1, parts.shape[0]):
+        acc += parts[i]
+    return acc
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -371,15 +379,17 @@ def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
 def conv2d(x: Tensor, w: Tensor) -> Tensor:
     """Same-size 2-D cross-correlation with zero padding and no bias.
 
-    ``x`` is [C_in, H, W]; ``w`` is [C_out, C_in, k, k] with odd ``k``.
-    The k=1 case is a single channel-mixing matmul per pixel.
+    ``x`` is [C_in, H, W], or an [N, C_in, H, W] stack of N images that each
+    come out as their own call would; ``w`` is [C_out, C_in, k, k] with odd
+    ``k``.  The k=1 case is a single channel-mixing matmul per pixel (one
+    broadcast product over a stack).
 
     For k > 1 the k*k offsets' [C_out, C_in] weights meet shifted copies of
     the zero-padded input, [C_in, H*W] each, in stacked ``np.matmul`` calls,
     and the products are summed in ascending (i, j) order from zero.  Each
     slice is the rank-2 product a per-offset loop takes, so output and
     gradients are byte-identical to that loop.  The offsets are grouped by
-    size:
+    the size of one image:
 
     - Small maps, where both running sums (the C_out*H*W output and the
       C_in*(H+k-1)*(W+k-1) padded input gradient) cover at most
@@ -396,6 +406,8 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
       2048 floats, against 76 us for 49 in-place adds.  A row's stack also
       stays under glibc's 128 KiB mmap threshold at medium scale: 112 KiB
       at [2, 32, 32], where 49 offsets would take 784 KiB.
+
+    On a stack, dW is each image's dW added in ascending image order.
     """
     out, pullback = _conv2d(x.data, w.data)
     return _op(out, (x, w), pullback)
@@ -403,85 +415,90 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
 
 def _conv2d(xd: np.ndarray, wd: np.ndarray):
     """``conv2d`` on raw arrays, shape checks included: the output and its pullback to (dx, dw)."""
-    if xd.ndim != 3 or wd.ndim != 4:
-        raise ValueError(f"conv2d: need [C,H,W] input and [O,C,k,k] weights, got {list(xd.shape)} and {list(wd.shape)}")
+    if xd.ndim not in (3, 4) or wd.ndim != 4:
+        raise ValueError(f"conv2d: need [C,H,W] or [N,C,H,W] input and [O,C,k,k] weights, "
+                         f"got {list(xd.shape)} and {list(wd.shape)}")
     c_out, c_in, k, kw = wd.shape
     if k != kw:
         raise ValueError(f"conv2d: square kernels only, got {k}x{kw}")
     if k % 2 == 0:
         raise ValueError(f"conv2d: even kernel size {k} rejected, same-size padding needs odd k")
-    if xd.shape[0] != c_in:
-        raise ValueError(f"conv2d: channel mismatch, input has {xd.shape[0]}, weights expect {c_in}")
-    _, h, wdt = xd.shape
-    pad = (k - 1) // 2
+    if xd.shape[-3] != c_in:
+        raise ValueError(f"conv2d: channel mismatch, input has {xd.shape[-3]}, weights expect {c_in}")
+    # lead is () for one image and (N,) for a stack; every array below keeps
+    # it just before its per-image [C, H, W] (or [C, H*W]) axes.
+    *lead, _, h, wdt = xd.shape
+    nl, hw, pad = len(lead), h * wdt, (k - 1) // 2
 
     if k == 1:
-        w2, x2 = wd[:, :, 0, 0], xd.reshape(c_in, h * wdt)
+        w2, x2 = wd[:, :, 0, 0], xd.reshape(*lead, c_in, hw)
 
         def _bw(g):
-            dw, dx = _matmul_grads(w2, x2, g.reshape(c_out, h * wdt))
-            return dx.reshape(c_in, h, wdt), dw.reshape(c_out, c_in, 1, 1)
+            dw, dx = _matmul_grads(w2, x2, g.reshape(*lead, c_out, hw))
+            return dx.reshape(xd.shape), (_ascending_sum(dw) if lead else dw).reshape(c_out, c_in, 1, 1)
 
-        return _matmul_data(w2, x2).reshape(c_out, h, wdt), _bw
+        return np.matmul(w2, x2).reshape(*lead, c_out, h, wdt), _bw
 
-    hw = h * wdt
-    xp = np.zeros((c_in, h + 2 * pad, wdt + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + wdt] = xd
-    # shifted[:, i, j] is the input seen through kernel offset (i, j), and
-    # ws[i, j] that offset's [C_out, C_in] weights.
-    sc, sh, sw = xp.strides
-    shifted = np.lib.stride_tricks.as_strided(xp, (c_in, k, k, h, wdt), (sc, sh, sw, sh, sw), writeable=False)
+    xp = np.zeros((*lead, c_in, h + 2 * pad, wdt + 2 * pad))
+    xp[..., pad:pad + h, pad:pad + wdt] = xd
+    # shifted[..., :, i, j, :, :] is the input seen through kernel offset
+    # (i, j), and ws[i, j] that offset's [C_out, C_in] weights.
+    *sn, sc, sh, sw = xp.strides
+    shifted = np.lib.stride_tricks.as_strided(xp, (*lead, c_in, k, k, h, wdt), (*sn, sc, sh, sw, sh, sw),
+                                              writeable=False)
     ws = wd.transpose(2, 3, 0, 1)
     # One group of all k*k offsets on small maps, one group per kernel row
     # on wide ones; offset n = i * k + j within the flattened stacks.
-    one_stack = max(c_out * hw, xp.size) <= _CONV_ONE_STACK_FLOATS
+    one_stack = max(c_out * hw, c_in * (h + 2 * pad) * (wdt + 2 * pad)) <= _CONV_ONE_STACK_FLOATS
     every_row = slice(None)
     groups = [every_row] if one_stack else [slice(i, i + 1) for i in range(k)]
+    offsets_first = (nl + 1, nl + 2, *range(nl + 1), nl + 3, nl + 4)
 
     def patches(rows):
-        """The shifted inputs of kernel rows ``rows`` as one [n, C_in, HW] stack.
+        """The shifted inputs of kernel rows ``rows`` as one [n, *lead, C_in, HW] stack.
 
         ``reshape`` copies into a contiguous stack exactly when reshaping one
         offset's [C_in, H, W] slice copies (always, unless H or W is 1), so
         every patch has the strides, and numpy picks the matmul kernel,
         that the offset's own rank-2 product would get.
         """
-        return shifted[:, rows].transpose(1, 2, 0, 3, 4).reshape(-1, c_in, hw)
+        return shifted[..., rows, :, :, :].transpose(offsets_first).reshape(-1, *lead, c_in, hw)
 
     def weights(rows):
-        """Those rows' [n, C_out, C_in] offset weights: a view (offsets are
+        """Those rows' [n, *1s, C_out, C_in] offset weights: a view (offsets are
         adjacent in ``wd``), so each slice keeps ``wd[:, :, i, j]``'s strides."""
-        return ws[rows].reshape(-1, c_out, c_in)
+        return ws[rows].reshape(-1, *(1,) * nl, c_out, c_in)
 
     if one_stack:
-        out = _running_sum(np.matmul(weights(every_row), patches(every_row))).reshape(c_out, h, wdt)
+        out = _running_sum(np.matmul(weights(every_row), patches(every_row))).reshape(*lead, c_out, h, wdt)
     else:
-        out = np.zeros((c_out, h, wdt))
+        out = np.zeros((*lead, c_out, h, wdt))
         for rows in groups:
-            for product in np.matmul(weights(rows), patches(rows)).reshape(k, c_out, h, wdt):
+            for product in np.matmul(weights(rows), patches(rows)).reshape(k, *lead, c_out, h, wdt):
                 out += product
 
     def _bw(g):
-        g2 = g.reshape(c_out, hw)
+        g2 = g.reshape(*lead, c_out, hw)
         dw = np.empty_like(wd)
         for rows in groups:
-            dw[:, :, rows] = np.matmul(g2, patches(rows).transpose(0, 2, 1)).reshape(
+            parts = np.matmul(g2, patches(rows).mT)
+            dw[:, :, rows] = (_ascending_sum(np.moveaxis(parts, 1, 0)) if lead else parts).reshape(
                 -1, k, c_out, c_in).transpose(2, 3, 0, 1)
         if one_stack:
-            # Slot n of a zeroed [k*k, C_in, H+k-1, W+k-1] stack takes offset
-            # n's piece in its padded window, all k*k in one strided copy.
-            pieces = np.matmul(weights(every_row).transpose(0, 2, 1), g2).reshape(k, k, c_in, h, wdt)
+            # Slot n of a zeroed [k*k, *lead, C_in, H+k-1, W+k-1] stack takes
+            # offset n's piece in its padded window, all k*k in one strided copy.
+            pieces = np.matmul(weights(every_row).mT, g2).reshape(k, k, *lead, c_in, h, wdt)
             slots = np.zeros((k * k, *xp.shape))
-            s0, sc, sh, sw = slots.strides
-            np.lib.stride_tricks.as_strided(slots, pieces.shape, (k * s0 + sh, s0 + sw, sc, sh, sw))[...] = pieces
+            s0, *sn, sc, sh, sw = slots.strides
+            np.lib.stride_tricks.as_strided(slots, pieces.shape, (k * s0 + sh, s0 + sw, *sn, sc, sh, sw))[...] = pieces
             dxp = _running_sum(slots)
         else:
             dxp = np.zeros_like(xp)
             for i, rows in enumerate(groups):
-                pieces = np.matmul(weights(rows).transpose(0, 2, 1), g2).reshape(k, c_in, h, wdt)
+                pieces = np.matmul(weights(rows).mT, g2).reshape(k, *lead, c_in, h, wdt)
                 for j in range(k):
-                    dxp[:, i:i + h, j:j + wdt] += pieces[j]
-        return (dxp[:, pad:pad + h, pad:pad + wdt], dw)
+                    dxp[..., i:i + h, j:j + wdt] += pieces[j]
+        return (dxp[..., pad:pad + h, pad:pad + wdt], dw)
 
     return out, _bw
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .metrics import pixel_accuracy, predictions
+from .metrics import pixel_accuracy
 from .model import NonFiniteLogits, Segmenter
 from .tensor import Tensor, backward, cross_entropy_logits
 
@@ -62,9 +63,20 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
             np.multiply(lr, model.grad_arena, out=update)
             model.arena -= update
         try:
-            report.final_pixel_accuracy = pixel_accuracy(*predictions(model, dataset))
+            report.final_pixel_accuracy = _closing_accuracy(model, dataset)
         except NonFiniteLogits as exc:
             raise TrainingDiverged(f"{exc} after {steps} steps (lr={lr})") from exc
     if report.losses:
         report.final_loss = report.losses[-1]
     return report
+
+
+def _closing_accuracy(model: Segmenter, dataset) -> float:
+    """Pixel accuracy of ``model`` over ``dataset``, from one iteration over it
+    that stacks ``model.predict_chunk`` images at a time for ``predict_stack``."""
+    samples, preds, labels = iter(dataset), [], []
+    while chunk := list(islice(samples, model.predict_chunk)):
+        images, targets = zip(*chunk)
+        preds.append(model.predict_stack(Tensor(np.stack([image.data for image in images]))))
+        labels += targets
+    return pixel_accuracy(np.concatenate(preds), np.stack(labels))

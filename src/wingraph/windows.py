@@ -5,6 +5,12 @@ A [C, H, W] map is split into an M x N grid of equal windows.  Window (m, n)
 walks the grid row by row.  Every window layout below has an exact inverse;
 both directions are pure data movement done as one tape op, so gradients
 move the same way in reverse.
+
+The model's raw regroups (``_layout_moves``, ``_regroup_data``) also take an
+[N, C, H, W] stack of maps.  Window blocks and tokens then fold the image
+axis into the window axis, image by image: [N*K, ...], so every window of
+every image is one slice of the stack.  Graph nodes keep it, [N, K, D], so
+each image stays one graph of K nodes.  The public regroups take one map.
 """
 
 from __future__ import annotations
@@ -49,9 +55,12 @@ class WindowGrid:
         return self.M * self.N
 
 
-def _check_map(x: Tensor, grid: WindowGrid) -> None:
-    if x.shape != (grid.C, grid.H, grid.W):
-        raise ValueError(f"window grid expects [{grid.C},{grid.H},{grid.W}], got {list(x.shape)}")
+def _check_map(x: Tensor, grid: WindowGrid) -> int | None:
+    """The image count of an [N, C, H, W] stack, or None for one [C, H, W] map."""
+    if x.ndim not in (3, 4) or x.shape[-3:] != (grid.C, grid.H, grid.W):
+        raise ValueError(f"window grid expects [{grid.C},{grid.H},{grid.W}] or "
+                         f"[N,{grid.C},{grid.H},{grid.W}], got {list(x.shape)}")
+    return x.shape[0] if x.ndim == 4 else None
 
 
 # A map seen as its windows has axes (C, M, h_w, N, w_w).  Each layout is one
@@ -69,15 +78,19 @@ _Moves = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @cache
-def _layout_moves(grid: WindowGrid, layout: str, channels: int | None = None) -> tuple[_Moves, _Moves]:
+def _layout_moves(grid: WindowGrid, layout: str, channels: int | None = None,
+                  images: int | None = None) -> tuple[_Moves, _Moves]:
     """The :func:`_regroup_data` arguments that take a [channels, H, W] map
-    (``grid.C`` channels by default) to ``layout`` and the ones that take it back."""
+    (``grid.C`` channels by default), or an [images, channels, H, W] stack,
+    to ``layout`` and the ones that take it back."""
     c = grid.C if channels is None else channels
     axes, shape = _LAYOUTS[layout]
-    split = (c, grid.M, grid.h_w, grid.N, grid.w_w)
-    back = (tuple(split[a] for a in axes), tuple(axes.index(a) for a in range(len(axes))),
-            (c, grid.H, grid.W))
-    return (split, axes, shape(grid, c)), back
+    split, full, out = (c, grid.M, grid.h_w, grid.N, grid.w_w), (c, grid.H, grid.W), shape(grid, c)
+    if images is not None:
+        split, full, axes = (images, *split), (images, *full), (0, *(a + 1 for a in axes))
+        out = (images, *out) if layout == "nodes" else (images * out[0], *out[1:])
+    back = (tuple(split[a] for a in axes), tuple(axes.index(a) for a in range(len(axes))), full)
+    return (split, axes, out), back
 
 
 def _regroup_data(a: np.ndarray, split: tuple[int, ...], axes: tuple[int, ...],
@@ -90,7 +103,8 @@ def _regroup_data(a: np.ndarray, split: tuple[int, ...], axes: tuple[int, ...],
 def _to_layout(x: Tensor, grid: WindowGrid, layout: str) -> Tensor:
     """A [C, H, W] map in ``layout``, as one tape op whose backward moves the
     gradient back."""
-    _check_map(x, grid)
+    if _check_map(x, grid) is not None:
+        raise ValueError(f"window grid expects one [{grid.C},{grid.H},{grid.W}] map, got {list(x.shape)}")
     there, back = _layout_moves(grid, layout)
     return _op(_regroup_data(x.data, *there), (x,), lambda g: (_regroup_data(g, *back),))
 

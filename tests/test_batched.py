@@ -2,8 +2,11 @@
 
 Windows run as one [B, ...] stack through the tensor ops, the graph
 functions and window attention; each slice must come out exactly as the
-per-window rank-2 call would compute it.
+per-window rank-2 call would compute it.  Images stack the same way: a
+forward over [N, 3, H, W] gives each image its own call's logits.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,12 +26,16 @@ from wingraph.graph import (
     run_graph,
     sparsify,
 )
-from wingraph.model import WindowAttention
+from wingraph import model as model_module
+from wingraph.gradcheck import check_gradients
+from wingraph.model import NonFiniteLogits, SegmenterConfig, WindowAttention, build_model
+from wingraph.relation import FusionType
 from wingraph.tensor import (
     Parameter,
     Tensor,
     add,
     backward,
+    conv2d,
     hadamard,
     matmul,
     reshape,
@@ -228,3 +235,91 @@ class TestStackedShapes:
     def test_relation_matrix_needs_square_slices(self):
         with pytest.raises(ValueError, match="square"):
             RelationMatrix(Tensor(np.zeros((2, 3, 4))))
+
+
+def per_image_conv2d(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """conv2d of each image on its own: outputs, input gradients and the
+    weight gradients added in ascending image order."""
+    runs = []
+    for xi, gi in zip(x, g):
+        out = conv2d(Tensor(xi, requires_grad=True), Parameter(w, "w"))
+        runs.append((out.data, *out._backward(gi)))
+    outs, dxs, dws = zip(*runs)
+    dw = dws[0]
+    for part in dws[1:]:
+        dw = dw + part
+    return np.stack(outs), np.stack(dxs), dw
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.sampled_from((1, 3, 7)), images=st.integers(1, 5), c_in=st.integers(1, 3),
+       c_out=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+# A stack whose running sums pass the one-stack size rule while each image's
+# stays under it, and a wide map on the per-row path.
+@example(k=7, images=5, c_in=2, c_out=2, h=6, w=6, seed=0)
+@example(k=7, images=2, c_in=2, c_out=2, h=16, w=16, seed=1)
+def test_conv2d_on_an_image_stack_equals_per_image_calls(k, images, c_in, c_out, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x, wt, g = (rng.normal(size=shape) for shape in ((images, c_in, h, w), (c_out, c_in, k, k),
+                                                    (images, c_out, h, w)))
+    out = conv2d(Tensor(x, requires_grad=True), Parameter(wt, "w"))
+    dx, dw = out._backward(g)
+    ref_out, ref_dx, ref_dw = per_image_conv2d(x, wt, g)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert np.ascontiguousarray(dx).tobytes() == ref_dx.tobytes()
+    assert dw.tobytes() == ref_dw.tobytes()
+
+
+def test_conv2d_and_window_attention_gradients_on_a_two_image_stack():
+    rng = np.random.default_rng(31)
+    # k = 7 on a 6x6 map takes one stack of offsets, on a 12x12 map a row at a time.
+    for k, side in ((1, 4), (3, 5), (7, 6), (7, 12)):
+        x = Tensor(rng.uniform(-1, 1, (2, 2, side, side)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (2, 2, k, k)), requires_grad=True)
+        proj = Tensor(rng.uniform(-1, 1, x.shape))
+        result = check_gradients(f"conv2d k={k}", lambda: sum_all(hadamard(conv2d(x, w), proj)), [x, w],
+                                 rng, max_entries=30)
+        assert result.passed, result
+    grid = WindowGrid(3, 4, 6, 2, 3)
+    block = WindowAttention.create(3, rng, "attn")
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 4, 6)), requires_grad=True)
+    proj = Tensor(rng.uniform(-1, 1, x.shape))
+    result = check_gradients("attention", lambda: sum_all(hadamard(block.forward(x, grid), proj)),
+                             [x, *block.named_parameters()], rng, max_entries=30)
+    assert result.passed, result
+
+
+@settings(max_examples=50, deadline=None)
+@given(variant=st.sampled_from(_VARIANTS), fusion=st.sampled_from(list(FusionType)),
+       enable_gt=st.booleans(), enable_ba=st.booleans(), m=st.integers(1, 3), n=st.integers(1, 3),
+       h_w=st.integers(1, 2), w_w=st.integers(1, 3), images=st.integers(1, 7), chunk=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+# Windows of one pixel; a stack of three chunks, the last one short.  In both
+# the boundary gate's 7x7 running sums over the whole stack (images * 2
+# squeezed channels * (H+6) * (W+6) floats) pass _CONV_ONE_STACK_FLOATS, though
+# each image's stays under it.
+@example(variant="softmax", fusion=FusionType.GR_THEN_LR, enable_gt=True, enable_ba=True,
+         m=3, n=2, h_w=1, w_w=1, images=7, chunk=3, seed=0)
+@example(variant="cosine", fusion=FusionType.PARALLEL, enable_gt=True, enable_ba=True,
+         m=2, n=2, h_w=2, w_w=3, images=5, chunk=2, seed=1)
+def test_image_stack_equals_per_image_calls(variant, fusion, enable_gt, enable_ba, m, n, h_w, w_w,
+                                            images, chunk, seed):
+    config = SegmenterConfig(C=4, H=m * h_w, W=n * w_w, stages=((1, m, n), (1, 1, n)), num_classes=3,
+                             r_gr=2, r_lr=2, r_ba=2, relation_variant=variant, fusion=fusion,
+                             enable_gt=enable_gt, enable_ba=enable_ba)
+    model = build_model(config)
+    rng = np.random.default_rng(seed)
+    model.arena[:] = 0.1 * rng.normal(size=model.arena.size)  # unsqueeze weights nonzero too
+    x = rng.normal(size=(images, 3, config.H, config.W))
+    stacked = model.forward(Tensor(x)).data
+    for image, logits in zip(x, stacked):
+        assert logits.tobytes() == model.forward(Tensor(image)).data.tobytes()
+    with mock.patch.object(model_module, "_PREDICT_CHUNK_FLOATS", chunk * 4 * config.H * config.W):
+        assert model.predict_chunk == chunk
+        try:
+            expected = np.stack([model.predict(Tensor(image)) for image in x])
+        except NonFiniteLogits as exc:
+            with pytest.raises(NonFiniteLogits, match=f"^{exc}$"):
+                model.predict_stack(Tensor(x))
+        else:
+            assert model.predict_stack(Tensor(x)).tobytes() == expected.tobytes()

@@ -214,10 +214,11 @@ class TestTapeSize:
 
     # What a training forward leaves allocated is its tape.  No op keeps an
     # array that its backward does not read or rebuilds in one pass: a branch's
-    # correction, a round's pruned relation, an attention block's tokens.
-    # Measured bytes, series / parallel: toy 281-286K / 263-266K, medium
-    # 9.66-9.71M / 9.14-9.18M.  Holding those three arrays too reads toy
-    # 366-371K / 349K and medium 12.81-12.86M / 12.29-12.34M, over each bound.
+    # correction, a round's pruned relation and transposed softmax nodes, an
+    # attention block's tokens.  Measured bytes, series / parallel: toy
+    # 283-286K / 265-267K, medium 9.64-9.67M / 9.12-9.14M.  Holding the first
+    # three too reads toy 366-371K / 349K and medium 12.81-12.86M /
+    # 12.29-12.34M, over each bound.
     @pytest.mark.parametrize("variant", ["softmax", "cosine"])
     @pytest.mark.parametrize("scale,fusion,bound", [
         (TAPE_SCALES["toy"], FusionType.GR_THEN_LR, 300_000),

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from wingraph.data import synth_dataset
-from wingraph.model import SegmenterConfig, build_model
+from wingraph.model import NonFiniteLogits, SegmenterConfig, build_model
 from wingraph.relation import FusionType
-from wingraph.tensor import backward, cross_entropy_logits
+from wingraph.tensor import Tensor, backward, cross_entropy_logits
 from wingraph.train import TrainingDiverged, train
 
 TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
@@ -84,6 +84,27 @@ class TestTrain:
             with pytest.raises(TrainingDiverged, match=r"^32 of 32 logits are not finite after 0 steps \(lr=0\.1\)$"):
                 train(model, toy_dataset(), steps=0, lr=0.1)
 
+    def test_non_finite_image_inside_a_chunk_is_named_by_its_own_count(self):
+        # At the benchmark's toy scale (C=16, 8x8) one overflowing pixel makes
+        # that image's logits non-finite; 5 images are one chunk of 8.
+        config = SegmenterConfig(num_classes=3)
+        dataset = synth_dataset("blobs", 5, config.H, config.W, config.num_classes, 0)
+        dataset[2][0].data[0, 1, 2] = 1e300
+        model = build_model(config)
+        assert model.predict_chunk == 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                with pytest.raises(NonFiniteLogits) as alone:
+                    model.predict(dataset[2][0])
+                with pytest.raises(NonFiniteLogits) as stacked:
+                    model.predict_stack(Tensor(np.stack([x.data for x, _ in dataset])))
+            assert str(stacked.value) == str(alone.value)
+            assert str(alone.value).endswith(" of 192 logits are not finite")
+            with pytest.raises(TrainingDiverged) as diverged:
+                train(model, dataset, steps=0, lr=0.1)
+        assert str(diverged.value) == f"{alone.value} after 0 steps (lr=0.1)"
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train(build_model(TOY), [], steps=1, lr=0.1)
@@ -96,6 +117,34 @@ class TestTrain:
     def test_lr_outside_open_positive_range_rejected(self, lr):
         with pytest.raises(ValueError, match="lr must be positive and finite"):
             train(build_model(TOY), toy_dataset(), steps=1, lr=lr)
+
+
+class CountingDataset(list):
+    """A dataset that counts ``train()``'s accesses, as perfbench's ``StepClock``
+    marks them: the indexing count when the one iteration starts."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.gets, self.iters, self.gets_before_iter = 0, 0, None
+
+    def __getitem__(self, index):
+        self.gets += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.iters += 1
+        self.gets_before_iter = self.gets
+        return super().__iter__()
+
+
+class TestDatasetAccess:
+    # One index per step and one closing iteration after the last step bound
+    # each step's time in perfbench's StepClock.
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    def test_indexes_once_per_step_and_iterates_once_after_the_last(self, steps):
+        dataset = CountingDataset(toy_dataset(n=3))
+        train(build_model(TOY), dataset, steps=steps, lr=0.1)
+        assert (dataset.gets, dataset.iters, dataset.gets_before_iter) == (steps, 1, steps)
 
 
 class TestArenaUpdate:

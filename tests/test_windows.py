@@ -83,6 +83,9 @@ class TestPartition:
             partition(Tensor(np.zeros((1, 4, 4))), g)
         with pytest.raises(ValueError, match="expects"):
             merge(Tensor(np.zeros((3, 2, 2, 2))), g)
+        # the model's raw regroups take image stacks; the public ones one map
+        with pytest.raises(ValueError, match=r"expects one \[2,4,4\] map"):
+            partition(Tensor(np.zeros((2, 2, 4, 4))), g)
 
     def test_content_independence(self):
         # permuting channel values commutes with partition
