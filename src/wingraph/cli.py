@@ -19,8 +19,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import format_csv, run_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import synth_dataset
@@ -89,12 +87,11 @@ def _build_and_train(config: SegmenterConfig):
 def _evaluate(model):
     """(mIoU result, boundary band accuracy) on ``model.config``'s evaluation
     set; the band accuracy is nan when no label map there has a class boundary.
-    Non-finite logits raise ``NonFiniteLogits``, which numpy's warnings would only repeat."""
+    Non-finite logits raise ``NonFiniteLogits``."""
     config = model.config
     eval_set = synth_dataset(config.dataset, config.dataset_size, config.H, config.W,
                              config.num_classes, config.seed + EVAL_SEED_OFFSET)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pred, labels = predictions(model, eval_set)
+    pred, labels = predictions(model, eval_set)
     return miou(pred, labels, config.num_classes), boundary_band_accuracy(pred, labels, band=1)
 
 

@@ -245,7 +245,11 @@ class WindowAttention:
     to that chain.  Arrays feeding several steps get their gradient parts
     added in the chain's tape order: the tokens (q + k) + v, the block input
     g + the regrouped tokens' gradient.  An [N, C, H, W] stack of images
-    runs as N*K windows, each the slice its own image's call makes.
+    runs as N*K windows, each the slice its own image's call makes.  The
+    tape op keeps only its input (a parent) and the softmax weights; the
+    backward rebuilds the tokens, q, k^T and v with the forward's own calls,
+    three small GEMMs and one transpose copy, rather than hold them (768 KiB
+    per medium block, beside the weights' 512 KiB).
     """
 
     wq: Parameter
@@ -270,22 +274,22 @@ class WindowAttention:
         # ``Tensor`` makes it, so each product gets the chain's BLAS call.
         tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
         q = _matmul_data(tokens, wq)
-        k = _matmul_data(tokens, wk)
-        v = _matmul_data(tokens, wv)
-        kt = np.ascontiguousarray(k.mT)
+        kt = np.ascontiguousarray(_matmul_data(tokens, wk).mT)
         # The scores buffer is private, so scaling and softmax work in place.
         att = _matmul_data(q, kt)
         att *= scale
         _softmax_data(att, out=att)
-        mixed = _matmul_data(att, v)
+        mixed = _matmul_data(att, _matmul_data(tokens, wv))
 
         def _bw(g):
-            d_att, dv = _matmul_grads(att, v, _regroup_data(g, *to_tokens))
+            # The tape holds x and att alone: the tokens, q, k^T and v are
+            # rebuilt here by the forward's own calls, byte for byte.
+            tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
+            d_att, dv = _matmul_grads(att, _matmul_data(tokens, wv), _regroup_data(g, *to_tokens))
             d_scores = _softmax_grad(att, d_att)
             d_scores *= scale
-            dq, d_kt = _matmul_grads(q, kt, d_scores)
-            # The tape holds x, so the tokens are rebuilt here, not kept.
-            tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
+            dq, d_kt = _matmul_grads(_matmul_data(tokens, wq),
+                                     np.ascontiguousarray(_matmul_data(tokens, wk).mT), d_scores)
             d_tokens, dwq = _matmul_grads(tokens, wq, dq)
             d_tok_k, dwk = _matmul_grads(tokens, wk, d_kt.mT)
             d_tok_v, dwv = _matmul_grads(tokens, wv, dv)
@@ -371,7 +375,8 @@ class Segmenter:
         no op records tape links and each intermediate is freed once used;
         the flags are set again afterwards, also when ``forward`` raises.
         Logits that are not all finite raise ``NonFiniteLogits``: argmax would
-        turn them into classes.
+        turn them into classes.  numpy's floating-point warnings on the way
+        there are silenced, as they would only repeat that error.
         """
         if image.ndim != 3:
             raise ValueError(f"predict expects one [3,H,W] image, got {list(image.shape)}; "
@@ -403,7 +408,8 @@ class Segmenter:
         for p in self._params.values():
             p.requires_grad = False
         try:
-            logits = self.forward(images).data
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                logits = self.forward(images).data
         finally:
             for p in self._params.values():
                 p.requires_grad = True

@@ -523,8 +523,20 @@ def _softmax_data(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     All steps after the max-subtraction work in place on one buffer: a new
     one, or ``out``, which may be ``a`` itself when the caller owns it.  The
     same elementwise steps as e / e.sum() with e = exp(a - max).
+
+    The row max is the element ``argmax`` picks, gathered by flat index:
+    on short rows that is a quarter of ``max``'s cost.  It only feeds
+    ``exp(a - m)``, so which of a +0/-0 tie it is changes no output byte.
+    A NaN's payload does: ``max`` keeps it or not by where the NaN sits (it
+    gave 0x7ff8000000000000 for a payload-5 NaN leading five entries), so
+    when any row holds a NaN, ``max`` itself gives the row maxima.
     """
-    s = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
+    flat = a.argmax(axis=-1, keepdims=True)
+    flat += np.arange(0, a.size, a.shape[-1]).reshape(flat.shape)
+    m = a.reshape(-1)[flat]
+    if np.isnan(m).any():
+        m = a.max(axis=-1, keepdims=True)
+    s = np.subtract(a, m, out=out)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s
@@ -567,10 +579,11 @@ def gelu(x: Tensor) -> Tensor:
 
 def _sigmoid(xd: np.ndarray):
     """``sigmoid`` on a raw array: the output and its pullback."""
-    pos = xd >= 0
     # exp only ever sees -|x|: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below.
-    e = np.exp(np.where(pos, -xd, xd))
-    out = np.where(pos, 1.0, e) / (1.0 + e)
+    # min(x, -x) and max(e, x >= 0) pick without np.where's branch per entry;
+    # unlike -abs(x), min keeps a NaN's sign bit.
+    e = np.exp(np.minimum(xd, -xd))
+    out = np.maximum(e, xd >= 0) / (1.0 + e)
     return out, lambda g: (g * out * (1.0 - out),)
 
 

@@ -12,6 +12,8 @@ from wingraph.tensor import (
     Parameter,
     Tensor,
     _mask_data,
+    _sigmoid,
+    _softmax_data,
     add,
     apply_mask,
     backward,
@@ -31,6 +33,20 @@ from wingraph.tensor import (
     transpose,
 )
 from wingraph.gradcheck import STEP, relative_error
+
+
+def float_bits(min_dims=1, max_dims=3, max_side=6):
+    """Float64 arrays drawn as bit patterns: ordinary floats, ties, signed zeros,
+    infinities, subnormals, |x| > 745, and NaNs of either sign with any payload
+    (signalling ones too), which a float strategy would not give byte for byte."""
+    nan = st.builds(lambda sign, payload: (sign << 63) | (0x7FF << 52) | payload,
+                    st.integers(0, 1), st.integers(1, 2 ** 52 - 1))
+    values = st.one_of(st.floats(), st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, math.inf, -math.inf)),
+                       st.floats(-1e3, 1e3), st.floats(-2.3e-308, 2.3e-308),
+                       st.floats(745.0, 1e4), st.floats(-1e4, -745.0))
+    bits = st.one_of(values.map(lambda v: int(np.float64(v).view(np.uint64))), nan)
+    return hnp.array_shapes(min_dims=min_dims, max_dims=max_dims, max_side=max_side).flatmap(
+        lambda shape: hnp.arrays(np.uint64, shape, elements=bits).map(lambda b: b.view(np.float64)))
 
 
 def naive_conv2d(x, w):
@@ -254,6 +270,22 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
         assert ((out.data >= 0) & (out.data <= 1)).all()
 
+    # Against the forerunner that took each row's max with ``max``.  A NaN
+    # leading five entries is where ``max`` drops the NaN's payload.
+    @settings(max_examples=300, deadline=None)
+    @given(a=float_bits(min_dims=2, max_dims=3), in_place=st.booleans())
+    @example(a=np.array([[0.0, -0.0], [-0.0, 0.0], [math.inf, math.inf], [-math.inf, 1.0],
+                         [math.nan, 1.0], [1.0, -math.nan]]), in_place=False)
+    @example(a=np.array([[[3.0], [-math.inf]], [[math.nan], [-0.0]]]), in_place=True)
+    @example(a=np.array([[0x7FF8000000000005, 0, 0, 0, 0]], np.uint64).view(np.float64), in_place=False)
+    def test_row_max_by_argmax_equals_max_byte_for_byte(self, a, in_place):
+        with np.errstate(all="ignore"):
+            expected = a - a.max(axis=-1, keepdims=True)
+            np.exp(expected, out=expected)
+            expected /= expected.sum(axis=-1, keepdims=True)
+            got = _softmax_data(a, out=a) if in_place else _softmax_data(a)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
@@ -263,6 +295,18 @@ class TestElementwise:
         x = Tensor(np.linspace(-30, 30, 1001))
         out = sigmoid(x).data
         assert (out > 0).all() and (out < 1).all()
+
+    # Against the forerunner that picked each branch with ``np.where``.
+    @settings(max_examples=300, deadline=None)
+    @given(x=float_bits())
+    @example(x=np.array([math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 746.0, -746.0]))
+    def test_sigmoid_equals_branch_wise_where_byte_for_byte(self, x):
+        with np.errstate(all="ignore"):
+            pos = x >= 0
+            e = np.exp(np.where(pos, -x, x))
+            expected = np.where(pos, 1.0, e) / (1.0 + e)
+            got, _ = _sigmoid(x)
+        assert got.tobytes() == expected.tobytes()
 
     def test_gelu_at_zero(self):
         assert gelu(Tensor([0.0])).data[0] == 0.0
