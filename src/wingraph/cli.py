@@ -95,6 +95,13 @@ def _evaluate(model):
     return miou(pred, labels, config.num_classes), boundary_band_accuracy(pred, labels, band=1)
 
 
+def _failure_exit(failures: list[str]) -> int:
+    """Print one ``FAIL`` line per failure to stderr; exit code 1 if any, else 0."""
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def cmd_gradcheck(args) -> int:
     csv_path = _out_files(args.out, "gradcheck.csv")[0] if args.out else None
     seeds = [args.seed + i for i in range(GRADCHECK_SEEDS)]
@@ -102,13 +109,8 @@ def cmd_gradcheck(args) -> int:
     lines = ["op,max_rel_err,samples"]
     lines += [f"{r.op},{r.max_rel_err:.3e},{r.samples}" for r in results]
     _emit_csv("\n".join(lines) + "\n", csv_path)
-    failed = [r for r in results if not r.passed]
-    if failed:
-        for r in failed:
-            print(f"FAIL {r.op}: max relative error {r.max_rel_err:.3e} "
-                  f"exceeds {TOLERANCE:g}", file=sys.stderr)
-        return 1
-    return 0
+    return _failure_exit([f"{r.op}: max relative error {r.max_rel_err:.3e} exceeds {TOLERANCE:g}"
+                          for r in results if not r.passed])
 
 
 def cmd_train(args) -> int:
@@ -202,13 +204,8 @@ def cmd_bench(args) -> int:
     csv_path = _out_files(args.out, "bench.csv")[0] if args.out else None
     rows = run_benchmark(ks, ds, cs, repeats=args.repeats, seed=args.seed)
     _emit_csv(format_csv(rows), csv_path)
-    bad = [row for row in rows if row.max_abs_diff != 0.0]
-    if bad:
-        for row in bad:
-            print(f"FAIL sparse/dense mismatch at K={row.K} D={row.D} c={row.c:g}: "
-                  f"{row.max_abs_diff:g}", file=sys.stderr)
-        return 1
-    return 0
+    return _failure_exit([f"sparse/dense mismatch at K={row.K} D={row.D} c={row.c:g}: {row.max_abs_diff:g}"
+                          for row in rows if row.max_abs_diff != 0.0])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -247,9 +247,9 @@ class WindowAttention:
     g + the regrouped tokens' gradient.  An [N, C, H, W] stack of images
     runs as N*K windows, each the slice its own image's call makes.  The
     tape op keeps only its input (a parent) and the softmax weights; the
-    backward rebuilds the tokens, q, k^T and v with the forward's own calls,
-    three small GEMMs and one transpose copy, rather than hold them (768 KiB
-    per medium block, beside the weights' 512 KiB).
+    backward rebuilds the tokens, q, k^T and v by calling the forward's own
+    ``project``, three small GEMMs and one transpose copy, rather than hold
+    them (768 KiB per medium block, beside the weights' 512 KiB).
     """
 
     wq: Parameter
@@ -270,26 +270,27 @@ class WindowAttention:
         to_tokens, from_tokens = _layout_moves(grid, "tokens", images=_check_map(x, grid))
         wq, wk, wv = self.wq.data, self.wk.data, self.wv.data
         scale = wq.shape[0] ** -0.5
-        # Every array the chain held as a Tensor is contiguous, as
-        # ``Tensor`` makes it, so each product gets the chain's BLAS call.
-        tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
-        q = _matmul_data(tokens, wq)
-        kt = np.ascontiguousarray(_matmul_data(tokens, wk).mT)
+
+        def project():
+            """The tokens, q, k^T and v, each contiguous as the chain's Tensor was, for its BLAS calls."""
+            tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
+            return (tokens, _matmul_data(tokens, wq), np.ascontiguousarray(_matmul_data(tokens, wk).mT),
+                    _matmul_data(tokens, wv))
+
+        _, q, kt, v = project()
         # The scores buffer is private, so scaling and softmax work in place.
         att = _matmul_data(q, kt)
         att *= scale
         _softmax_data(att, out=att)
-        mixed = _matmul_data(att, _matmul_data(tokens, wv))
+        mixed = _matmul_data(att, v)
 
         def _bw(g):
-            # The tape holds x and att alone: the tokens, q, k^T and v are
-            # rebuilt here by the forward's own calls, byte for byte.
-            tokens = np.ascontiguousarray(_regroup_data(x.data, *to_tokens))
-            d_att, dv = _matmul_grads(att, _matmul_data(tokens, wv), _regroup_data(g, *to_tokens))
+            # The tape holds x and att alone; project() rebuilds the rest.
+            tokens, q, kt, v = project()
+            d_att, dv = _matmul_grads(att, v, _regroup_data(g, *to_tokens))
             d_scores = _softmax_grad(att, d_att)
             d_scores *= scale
-            dq, d_kt = _matmul_grads(_matmul_data(tokens, wq),
-                                     np.ascontiguousarray(_matmul_data(tokens, wk).mT), d_scores)
+            dq, d_kt = _matmul_grads(q, kt, d_scores)
             d_tokens, dwq = _matmul_grads(tokens, wq, dq)
             d_tok_k, dwk = _matmul_grads(tokens, wk, d_kt.mT)
             d_tok_v, dwv = _matmul_grads(tokens, wv, dv)
@@ -380,28 +381,21 @@ class Segmenter:
         """
         if image.ndim != 3:
             raise ValueError(f"predict expects one [3,H,W] image, got {list(image.shape)}; "
-                             "predict_stack takes a stack")
+                             "predict_stack takes a sequence of images")
         return self._decide(image)
 
-    @property
-    def predict_chunk(self) -> int:
-        """Images per ``predict_stack`` forward: as many C*H*W feature maps as
-        ``_PREDICT_CHUNK_FLOATS`` holds, at least one."""
-        cfg = self.config
-        return max(1, _PREDICT_CHUNK_FLOATS // (cfg.C * cfg.H * cfg.W))
-
-    def predict_stack(self, images: Tensor) -> np.ndarray:
-        """``predict`` over an [N, 3, H, W] stack: [N, H, W] decisions, byte-equal
-        to N ``predict`` calls, from one tape-free forward per ``predict_chunk``
-        images.  The first image with a non-finite logit raises its own
-        ``predict`` error.  Chunks of one image are ``predict`` calls, so a
-        caller that times or counts ``predict`` still sees each of them."""
-        if images.ndim != 4:
-            raise ValueError(f"predict_stack expects an [N,3,H,W] stack, got {list(images.shape)}")
-        data, chunk = images.data, self.predict_chunk
+    def predict_stack(self, images: typing.Sequence[Tensor]) -> np.ndarray:
+        """``predict`` over a dataset's [3, H, W] images: [N, H, W] decisions,
+        byte-equal to N ``predict`` calls, from one tape-free forward per chunk,
+        stacked one chunk at a time.  The first image with a non-finite logit
+        raises its own ``predict`` error.  Chunks of one image are ``predict``
+        calls on the given tensors, so a caller that times or counts
+        ``predict`` still sees each of them."""
+        chunk = max(1, _PREDICT_CHUNK_FLOATS // (self.config.C * self.config.H * self.config.W))
         if chunk == 1:
-            return np.stack([self.predict(Tensor(image)) for image in data])
-        return np.concatenate([self._decide(Tensor(data[i:i + chunk])) for i in range(0, len(data), chunk)])
+            return np.stack([self.predict(image) for image in images])
+        return np.concatenate([self._decide(Tensor(np.stack([image.data for image in images[i:i + chunk]])))
+                               for i in range(0, len(images), chunk)])
 
     def _decide(self, images: Tensor) -> np.ndarray:
         """Class decisions of one image or a stack, from a forward without a tape."""

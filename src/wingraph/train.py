@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -72,11 +71,6 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
 
 
 def _closing_accuracy(model: Segmenter, dataset) -> float:
-    """Pixel accuracy of ``model`` over ``dataset``, from one iteration over it
-    that stacks ``model.predict_chunk`` images at a time for ``predict_stack``."""
-    samples, preds, labels = iter(dataset), [], []
-    while chunk := list(islice(samples, model.predict_chunk)):
-        images, targets = zip(*chunk)
-        preds.append(model.predict_stack(Tensor(np.stack([image.data for image in images]))))
-        labels += targets
-    return pixel_accuracy(np.concatenate(preds), np.stack(labels))
+    """Pixel accuracy of ``model`` over ``dataset``, from one iteration over it."""
+    images, labels = zip(*dataset)
+    return pixel_accuracy(model.predict_stack(images), np.stack(labels))

@@ -314,12 +314,16 @@ def test_image_stack_equals_per_image_calls(variant, fusion, enable_gt, enable_b
     stacked = model.forward(Tensor(x)).data
     for image, logits in zip(x, stacked):
         assert logits.tobytes() == model.forward(Tensor(image)).data.tobytes()
+    tensors = [Tensor(image) for image in x]
     with mock.patch.object(model_module, "_PREDICT_CHUNK_FLOATS", chunk * 4 * config.H * config.W):
-        assert model.predict_chunk == chunk
         try:
-            expected = np.stack([model.predict(Tensor(image)) for image in x])
+            expected = np.stack([model.predict(image) for image in tensors])
         except NonFiniteLogits as exc:
             with pytest.raises(NonFiniteLogits, match=f"^{exc}$"):
-                model.predict_stack(Tensor(x))
+                model.predict_stack(tensors)
         else:
-            assert model.predict_stack(Tensor(x)).tobytes() == expected.tobytes()
+            with mock.patch.object(model, "forward", wraps=model.forward) as forward:
+                assert model.predict_stack(tensors).tobytes() == expected.tobytes()
+            # one forward per chunk of ``chunk`` images, the last one short
+            per_forward = [call.args[0].data.size // (3 * config.H * config.W) for call in forward.call_args_list]
+            assert per_forward == [min(chunk, images - i) for i in range(0, images, chunk)]

@@ -328,7 +328,7 @@ class TestTapeFreePredict:
             with pytest.raises(NonFiniteLogits, match=r"^32 of 32 logits are not finite$"):
                 model.predict(image)
             with pytest.raises(NonFiniteLogits, match=r"^32 of 32 logits are not finite$"):
-                model.predict_stack(Tensor(np.stack([image.data] * 3)))
+                model.predict_stack([image] * 3)
         assert all(p.requires_grad for p in model.parameters().values())
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from wingraph.data import synth_dataset
 from wingraph.model import NonFiniteLogits, SegmenterConfig, build_model
 from wingraph.relation import FusionType
-from wingraph.tensor import Tensor, backward, cross_entropy_logits
+from wingraph.tensor import backward, cross_entropy_logits
 from wingraph.train import TrainingDiverged, train
 
 TOY = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2,
@@ -91,14 +92,15 @@ class TestTrain:
         dataset = synth_dataset("blobs", 5, config.H, config.W, config.num_classes, 0)
         dataset[2][0].data[0, 1, 2] = 1e300
         model = build_model(config)
-        assert model.predict_chunk == 8
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
                 with pytest.raises(NonFiniteLogits) as alone:
                     model.predict(dataset[2][0])
-                with pytest.raises(NonFiniteLogits) as stacked:
-                    model.predict_stack(Tensor(np.stack([x.data for x, _ in dataset])))
+                with mock.patch.object(model, "forward", wraps=model.forward) as forward:
+                    with pytest.raises(NonFiniteLogits) as stacked:
+                        model.predict_stack([x for x, _ in dataset])
+            assert [call.args[0].shape for call in forward.call_args_list] == [(5, 3, 8, 8)]
             assert str(stacked.value) == str(alone.value)
             assert str(alone.value).endswith(" of 192 logits are not finite")
             with pytest.raises(TrainingDiverged) as diverged:
