@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 
 from wingraph.checkpoint import load_checkpoint, save_checkpoint
+from wingraph.cli import EVAL_SEED_OFFSET
 from wingraph.data import synth_dataset
 from wingraph.metrics import boundary_band_accuracy, evaluate_miou, miou, predictions
 from wingraph.model import SegmenterConfig, build_model, model_param_count
@@ -25,7 +26,7 @@ print(f"parameters: {model.param_count()} (closed form {model_param_count(config
 train_set = synth_dataset(config.dataset, config.dataset_size, config.H, config.W,
                           config.num_classes, config.seed)
 eval_set = synth_dataset(config.dataset, 4, config.H, config.W,
-                         config.num_classes, config.seed + 1000)
+                         config.num_classes, config.seed + EVAL_SEED_OFFSET)
 
 report = train(model, train_set, config.steps, config.lr)
 print(f"\ntrained {config.steps} steps: loss {report.losses[0]:.4f} -> {report.final_loss:.4f}")

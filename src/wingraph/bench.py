@@ -5,8 +5,8 @@ benchmark builds a row-softmax relation matrix and prunes it at c times the
 mean entry, as a graph round does (``relation_softmax``, ``make_theta``,
 ``sparsify``), then times both propagation paths on identical data;
 ``dense_ms`` times whichever dense form ``graph``'s size rule picks.  The
-two paths are bit-identical by construction, so the max absolute difference
-column must be exactly 0; it is recorded as a per-row verification.
+two paths are bit-identical by construction, so a row's ``max_abs_diff``
+must be exactly 0; it is recorded as a per-row verification.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 from .graph import make_theta, node_update_dense_data, node_update_sparse_data, relation_softmax, sparsify
 from .tensor import Tensor
 
-CSV_HEADER = "K,D,c,dense_ms,sparse_ms,max_abs_diff"
-
 
 @dataclass
 class BenchRow:
@@ -31,10 +29,6 @@ class BenchRow:
     sparse_ms: float
     max_abs_diff: float
     kept_edges: int
-
-    def csv(self) -> str:
-        return (f"{self.K},{self.D},{self.c:g},{self.dense_ms:.6f},"
-                f"{self.sparse_ms:.6f},{self.max_abs_diff:g}")
 
 
 def _time_ms(fn, repeats: int) -> tuple[float, np.ndarray]:
@@ -70,7 +64,3 @@ def run_benchmark(ks: list[int], ds: list[int], coefficients: list[float],
                 rng = np.random.default_rng(seed + 7919 * k + 101 * d)
                 rows.append(bench_point(k, d, c, repeats, rng))
     return rows
-
-
-def format_csv(rows: list[BenchRow]) -> str:
-    return "\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n"

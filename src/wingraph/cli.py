@@ -19,11 +19,11 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import format_csv, run_benchmark
+from .bench import run_benchmark
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import synth_dataset
 from .gradcheck import SCOPE_NAMES, TOLERANCE, run_gradcheck
-from .metrics import boundary_band_accuracy, miou, predictions, write_iou_csv
+from .metrics import boundary_band_accuracy, miou, predictions
 from .model import (MAX_CONFIG_BYTES, ConfigError, NonFiniteLogits, SegmenterConfig, build_model,
                     check_array_budget, parse_config_text, set_config_key)
 from .relation import FusionType
@@ -69,6 +69,16 @@ def _out_files(out: str, *names: str) -> list[Path]:
     return paths
 
 
+def _csv(header: str, rows) -> str:
+    """The text of every CSV report: the header line, one line per row of ``rows``, a closing newline."""
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _iou_csv(per_class: list[float]) -> str:
+    """``metrics.csv`` text; each IoU is a Python float's ``repr``, ``nan`` when undefined."""
+    return _csv("class_id,iou", (f"{class_id},{float(v)!r}" for class_id, v in enumerate(per_class)))
+
+
 def _emit_csv(csv_text: str, path: Path | None) -> None:
     """Print CSV text and, when a path is given, write it there."""
     print(csv_text, end="")
@@ -106,9 +116,8 @@ def cmd_gradcheck(args) -> int:
     csv_path = _out_files(args.out, "gradcheck.csv")[0] if args.out else None
     seeds = [args.seed + i for i in range(GRADCHECK_SEEDS)]
     results = run_gradcheck(args.scope, seeds)
-    lines = ["op,max_rel_err,samples"]
-    lines += [f"{r.op},{r.max_rel_err:.3e},{r.samples}" for r in results]
-    _emit_csv("\n".join(lines) + "\n", csv_path)
+    _emit_csv(_csv("op,max_rel_err,samples", (f"{r.op},{r.max_rel_err:.3e},{r.samples}" for r in results)),
+              csv_path)
     return _failure_exit([f"{r.op}: max relative error {r.max_rel_err:.3e} exceeds {TOLERANCE:g}"
                           for r in results if not r.passed])
 
@@ -120,10 +129,10 @@ def cmd_train(args) -> int:
     model, report = _build_and_train(config)
 
     save_checkpoint(model, checkpoint)
-    curve = "\n".join(["step,loss"] + [f"{i},{v!r}" for i, v in enumerate(report.losses)]) + "\n"
-    curve_path.write_text(curve, encoding="ascii")
+    curve_path.write_text(_csv("step,loss", (f"{i},{v!r}" for i, v in enumerate(report.losses))),
+                          encoding="ascii")
     result, boundary = _evaluate(model)
-    write_iou_csv(metrics_path, result.per_class)
+    metrics_path.write_text(_iou_csv(result.per_class), encoding="ascii")
     summary = {
         "param_count": model.param_count(),
         "steps": config.steps,
@@ -153,7 +162,7 @@ def cmd_eval(args) -> int:
     except NonFiniteLogits as exc:
         raise CheckpointError(f"{args.checkpoint}: {exc} on an evaluation image") from exc
     if metrics_path:
-        write_iou_csv(metrics_path, result.per_class)
+        metrics_path.write_text(_iou_csv(result.per_class), encoding="ascii")
     print(f"eval mIoU {result.mean:.4f}, boundary band accuracy {boundary:.4f}")
     return 0
 
@@ -175,13 +184,13 @@ def cmd_ablate(args) -> int:
                 for label, changes in ABLATION_AXES[args.axis]]
     csv_path = _out_files(args.out, f"ablate_{args.axis}.csv")[0] if args.out else None
 
-    lines = ["setting,miou,boundary_band_accuracy"]
+    rows = []
     for label, config in settings:
         model, _ = _build_and_train(config)
         result, boundary = _evaluate(model)
-        lines.append(f"{label},{result.mean!r},{boundary!r}")
-        print(lines[-1], file=sys.stderr)
-    _emit_csv("\n".join(lines) + "\n", csv_path)
+        rows.append(f"{label},{result.mean!r},{boundary!r}")
+        print(rows[-1], file=sys.stderr)
+    _emit_csv(_csv("setting,miou,boundary_band_accuracy", rows), csv_path)
     return 0
 
 
@@ -203,7 +212,9 @@ def cmd_bench(args) -> int:
     check_array_budget({"bench relation (K^2)": max(ks) ** 2, "bench nodes (K*D)": max(ks) * max(ds)})
     csv_path = _out_files(args.out, "bench.csv")[0] if args.out else None
     rows = run_benchmark(ks, ds, cs, repeats=args.repeats, seed=args.seed)
-    _emit_csv(format_csv(rows), csv_path)
+    _emit_csv(_csv("K,D,c,dense_ms,sparse_ms,max_abs_diff",
+                   (f"{r.K},{r.D},{r.c:g},{r.dense_ms:.6f},{r.sparse_ms:.6f},{r.max_abs_diff:g}" for r in rows)),
+              csv_path)
     return _failure_exit([f"sparse/dense mismatch at K={row.K} D={row.D} c={row.c:g}: {row.max_abs_diff:g}"
                           for row in rows if row.max_abs_diff != 0.0])
 

@@ -116,13 +116,3 @@ def dataset_boundary_band_accuracy(model, dataset: list[tuple[Tensor, np.ndarray
     """Boundary-band accuracy pooled over every sample's band pixels; nan
     when no label map has a class boundary."""
     return boundary_band_accuracy(*predictions(model, dataset), band)
-
-
-def write_iou_csv(path, per_class: list[float]) -> None:
-    """CSV report with header ``class_id,iou``; each IoU is written as the
-    ``repr`` of a Python float (``nan`` for a class absent from both maps)."""
-    lines = ["class_id,iou"]
-    for class_id, value in enumerate(per_class):
-        lines.append(f"{class_id},{float(value)!r}")
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")

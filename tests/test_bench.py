@@ -1,25 +1,14 @@
-"""Dense/sparse benchmark: exact agreement, CSV contract, sparsity payoff."""
+"""Dense/sparse benchmark: exact agreement, sparsity payoff."""
 
 import numpy as np
 
-from wingraph.bench import CSV_HEADER, bench_point, format_csv, run_benchmark
+from wingraph.bench import bench_point, run_benchmark
 
 
 class TestBench:
     def test_outputs_agree_exactly_everywhere(self):
         rows = run_benchmark([2, 4, 8, 16], [2, 8], [2.0, 0.25], repeats=3, seed=0)
         assert all(row.max_abs_diff == 0.0 for row in rows)
-
-    def test_csv_header_contract(self):
-        rows = run_benchmark([2], [2], [1.0], repeats=2, seed=0)
-        text = format_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0] == "K,D,c,dense_ms,sparse_ms,max_abs_diff"
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 2
-        fields = lines[1].split(",")
-        assert fields[0] == "2" and fields[1] == "2" and fields[2] == "1"
-        assert fields[5] == "0"
 
     def test_full_mask_skips_all_columns(self):
         rng = np.random.default_rng(0)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wingraph import model, tensor
+from wingraph import cli, model, tensor
 from wingraph.checkpoint import save_checkpoint
 from wingraph.cli import load_config, main
+from wingraph.metrics import MiouResult
 from wingraph.model import MAX_CONFIG_BYTES, format_config, parse_config_text
 from wingraph.data import DATASET_KINDS
 from wingraph.graph import _VARIANTS
@@ -258,6 +260,15 @@ class TestEvalCommand:
                 assert int(cid) == class_id
                 assert 0.0 <= float(iou) <= 1.0 or math.isnan(float(iou))
 
+    def test_metrics_csv_header_and_nan_formatting(self, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "model.wgts"
+        save_checkpoint(build_model(SegmenterConfig()), ckpt)
+        result = MiouResult([np.float64(0.5), math.nan, 1.0], 0.75, np.zeros((3, 3)))
+        monkeypatch.setattr(cli, "_evaluate", lambda model: (result, 0.5))
+        assert main(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]) == 0
+        lines = (tmp_path / "e" / "metrics.csv").read_text(encoding="ascii").splitlines()
+        assert lines == ["class_id,iou", "0,0.5", "1,nan", "2,1.0"]
+
     def test_predicts_each_eval_image_once(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "run"
         assert main(["train", "--out", str(out)] + FAST) == 0
@@ -391,8 +402,24 @@ class TestBenchCommand:
         assert len(lines) == 5
         assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
 
+    def test_row_formats(self, capsys):
+        assert main(["bench", "--K", "2", "--D", "2", "--c", "1", "--repeats", "2"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "K,D,c,dense_ms,sparse_ms,max_abs_diff"
+        k, d, c, dense_ms, sparse_ms, diff = row.split(",")
+        assert (k, d, c, diff) == ("2", "2", "1", "0")
+        assert re.fullmatch(r"\d+\.\d{6}", dense_ms) and re.fullmatch(r"\d+\.\d{6}", sparse_ms)
+
     def test_bad_list_exits_two(self, capsys):
         assert main(["bench", "--K", "two"]) == 2
+
+
+@given(st.text(), st.lists(st.text()))
+def test_csv_is_header_rows_and_closing_newline(header, rows):
+    """Every report is built by ``_csv``; a generator of rows gives the same text as a list."""
+    expected = "\n".join([header, *rows]) + "\n"
+    assert cli._csv(header, rows) == expected
+    assert cli._csv(header, iter(rows)) == expected
 
 
 def _non_utf8_config(tmp_path):

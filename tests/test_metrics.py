@@ -20,7 +20,6 @@ from wingraph.metrics import (
     evaluate_miou,
     miou,
     pixel_accuracy,
-    write_iou_csv,
 )
 from wingraph.model import SegmenterConfig, build_model
 from wingraph.train import train
@@ -263,14 +262,3 @@ class TestStackedMetricsMatchPerSampleLoops:
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError, match="empty dataset"):
             evaluate_miou(EchoModel(2), [])
-
-
-class TestCsv:
-    def test_header_and_nan_formatting(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        write_iou_csv(path, [0.5, math.nan, 1.0])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "class_id,iou"
-        assert lines[1] == "0,0.5"
-        assert lines[2] == "1,nan"
-        assert lines[3] == "2,1.0"
