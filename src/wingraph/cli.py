@@ -260,6 +260,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.out == "":
+            raise ConfigError("--out must name a directory, got ''")
         return args.func(args)
     except (ConfigError, CheckpointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

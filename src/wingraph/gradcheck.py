@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def _window_attention(rng):
 
 
 def _relation_check(forward, *branches):
-    """A module check of ``forward(x, grid, gr, lr)`` over the named branches' parameters.
+    """A module check of ``forward(x, grid, *params)`` over the named branches' parameters, in that order.
 
     Both branches' parameters are drawn for every row, so each row sees the
     same random stream whichever branches it checks.
@@ -173,7 +174,7 @@ def _relation_check(forward, *branches):
         for branch in params.values():
             branch.unsqueeze.data = rng.uniform(-1, 1, branch.unsqueeze.shape)
         leaves = [p for b in branches for p in params[b].named_parameters()]
-        return (lambda x: forward(x, grid, params["gr"], params["lr"])), leaves
+        return (lambda x: forward(x, grid, *(params[b] for b in branches))), leaves
     return _module_check(build)
 
 
@@ -214,13 +215,10 @@ SCOPES: dict[str, list] = {
         ("run_graph_stacked_cosine", _run_graph_check("cosine", 1, stack=(3,))),
     ],
     "attention": [("window_attention", _module_check(_window_attention))],
-    "gr": [("global_relation", _relation_check(
-        lambda x, grid, gr, lr: global_relation(x, grid, gr), "gr"))],
-    "lr": [("local_relation", _relation_check(
-        lambda x, grid, gr, lr: local_relation(x, grid, lr), "lr"))],
-    "gt": [(f"gt_{fusion.value}", _relation_check(
-        lambda x, grid, gr, lr, fusion=fusion: graph_transformer_block(x, grid, gr, lr, fusion),
-        "gr", "lr")) for fusion in FusionType],
+    "gr": [("global_relation", _relation_check(global_relation, "gr"))],
+    "lr": [("local_relation", _relation_check(local_relation, "lr"))],
+    "gt": [(f"gt_{fusion.value}", _relation_check(partial(graph_transformer_block, fusion=fusion), "gr", "lr"))
+           for fusion in FusionType],
     "ba": [("boundary_attention", _module_check(_boundary_attention, (4, 5, 5)))],
 }
 

@@ -67,15 +67,13 @@ _PROPAGATE_ONE_CALL_FLOATS = 256
 class RelationMatrix:
     """K x K node affinities, or a [B, K, K] stack of them, optionally sparsified.
 
-    ``mask`` and ``theta`` record the pruning decision: ``mask`` flags the
-    entries of the *pre-pruning* matrix that were strictly above ``theta``;
+    ``mask`` records the pruning decision: it flags the entries of the
+    *pre-pruning* matrix strictly above :func:`sparsify`'s threshold;
     ``values`` holds those entries unchanged and exact zeros elsewhere.
-    ``theta`` is a float for one graph and a [B] array for a stack.
     """
 
     values: Tensor
     mask: np.ndarray | None = None
-    theta: float | np.ndarray | None = None
 
     def __post_init__(self):
         shape = self.values.shape
@@ -167,38 +165,35 @@ def relation(nodes: Tensor, variant: str) -> RelationMatrix:
     raise ValueError(f"relation: unknown variant {variant!r}")
 
 
-def make_theta(values, coefficient: float = 0.25) -> float | np.ndarray:
+def make_theta(values, coefficient: float = 0.25) -> np.float64 | np.ndarray:
     """Pruning threshold c * v, where v is the mean of all K^2 entries.
 
-    For a [B, K, K] stack, each graph gets the threshold of its own
-    matrix, returned as a [B] array.  c = 1/4 is the default; it is the
-    best-performing multiple in the threshold sweep this policy mirrors.
+    One graph gets an ``np.float64``; a [B, K, K] stack gets a [B] array,
+    each graph the threshold of its own matrix.  c = 1/4 is the default; it
+    is the best-performing multiple in the threshold sweep this policy mirrors.
     """
     data = values.data if isinstance(values, Tensor) else np.asarray(values, dtype=np.float64)
     # np.mean's own sum and division, without its Python wrapper.
-    theta = float(coefficient) * (np.add.reduce(data, axis=(-2, -1)) / (data.shape[-2] * data.shape[-1]))
-    return float(theta) if data.ndim == 2 else theta
+    return float(coefficient) * (np.add.reduce(data, axis=(-2, -1)) / (data.shape[-2] * data.shape[-1]))
 
 
-def _above(values: np.ndarray, theta: float | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """``theta`` as :func:`sparsify` stores it, and the mask of the entries
-    strictly above it."""
-    theta = float(theta) if values.ndim == 2 else np.asarray(theta, dtype=np.float64)
-    return theta, values > (theta if values.ndim == 2 else theta[..., None, None])
+def _above(values: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+    """The mask of ``values`` strictly above ``theta``: one per graph of a stack, or one for all."""
+    return values > np.asarray(theta, dtype=np.float64)[..., None, None]
 
 
 def sparsify(rel: RelationMatrix, theta: float | np.ndarray) -> RelationMatrix:
     """Keep entries strictly above ``theta``; zero the rest exactly.
 
     For a stack, ``theta`` holds one threshold per graph (a scalar applies
-    to all of them).  The mask is a constant with respect to
-    differentiation (the indicator has zero subgradient at the threshold);
-    kept entries pass gradients through unchanged.  Idempotent on values:
-    re-applying the same theta never changes a kept entry or resurrects a
-    pruned one.
+    to all of them); the result records the mask, not ``theta``.  The mask
+    is constant under differentiation (the indicator has zero subgradient
+    at the threshold); kept entries pass gradients through unchanged.
+    Idempotent on values: re-applying the same theta never changes a kept
+    entry or resurrects a pruned one.
     """
-    theta, mask = _above(rel.values.data, theta)
-    return RelationMatrix(apply_mask(rel.values, mask), mask, theta)
+    mask = _above(rel.values.data, theta)
+    return RelationMatrix(apply_mask(rel.values, mask), mask)
 
 
 def node_update_dense_data(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -288,7 +283,7 @@ def _graph_round(xd: np.ndarray, wd: np.ndarray, cfg: GraphConfig):
     # ``rel`` stays unpruned: both relation backwards read it, and the
     # pullback rebuilds the pruned copy from it rather than keep both, as
     # it rebuilds the transposed nodes from ``xd``.
-    _, mask = _above(rel, make_theta(rel, cfg.theta_coefficient))
+    mask = _above(rel, make_theta(rel, cfg.theta_coefficient))
     prop = node_update_dense_data(_mask_data(rel, mask), xd)
 
     def pullback(g):

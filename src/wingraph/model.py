@@ -391,6 +391,8 @@ class Segmenter:
         raises its own ``predict`` error.  Chunks of one image are ``predict``
         calls on the given tensors, so a caller that times or counts
         ``predict`` still sees each of them."""
+        if not images:
+            raise ValueError("predict_stack: no images")
         chunk = max(1, _PREDICT_CHUNK_FLOATS // (self.config.C * self.config.H * self.config.W))
         if chunk == 1:
             return np.stack([self.predict(image) for image in images])

@@ -228,7 +228,7 @@ def backward(loss: Tensor) -> None:
             grad += g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             held = flowing.get(id(parent))
             flowing[id(parent)] = pg if held is None else held + pg

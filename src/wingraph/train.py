@@ -26,8 +26,12 @@ class TrainingReport:
     """Loss curve plus end-of-run summary."""
 
     losses: list[float] = field(default_factory=list)
-    final_loss: float = math.nan
     final_pixel_accuracy: float = math.nan
+
+    @property
+    def final_loss(self) -> float:
+        """The last step's loss, read from the curve; nan when no step ran."""
+        return self.losses[-1] if self.losses else math.nan
 
 
 def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int,
@@ -65,8 +69,6 @@ def train(model: Segmenter, dataset: list[tuple[Tensor, np.ndarray]], steps: int
             report.final_pixel_accuracy = _closing_accuracy(model, dataset)
         except NonFiniteLogits as exc:
             raise TrainingDiverged(f"{exc} after {steps} steps (lr={lr})") from exc
-    if report.losses:
-        report.final_loss = report.losses[-1]
     return report
 
 

@@ -437,6 +437,11 @@ def _file_as_out(command):
     return case
 
 
+def _empty_out(command):
+    """``command`` with an empty ``--out``, which names no directory."""
+    return lambda tmp_path: command + ["--out", ""]
+
+
 def _dir_as_file(command, name):
     """``command`` writing to an ``--out`` directory that holds a directory named ``name``."""
     def case(tmp_path):
@@ -520,6 +525,9 @@ UNREADABLE_INPUTS = {
     "gradcheck_csv_is_a_directory": _dir_as_file(["gradcheck", "gr"], "gradcheck.csv"),
     "ablate_csv_is_a_directory": _dir_as_file(["ablate", "theta"], "ablate_theta.csv"),
     "bench_csv_is_a_directory": _dir_as_file(["bench"], "bench.csv"),
+    **{f"{command[0]}_out_is_empty": _empty_out(command)
+       for command in (["train"], ["gradcheck", "gr"], ["ablate", "theta"], ["bench"])},
+    "eval_out_is_empty": lambda tmp_path: _eval_command(tmp_path) + ["--out", ""],
     "bool_override_not_a_bool": _bad_override("enable_gt=maybe"),
     "stages_override_not_three_numbers": _bad_override("stages=2x2"),
     "config_line_without_equals": _config_line_without_equals,
@@ -536,9 +544,16 @@ UNREADABLE_INPUTS = {
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
-def test_untrusted_input_exits_two_without_traceback(case, tmp_path, capsys):
-    assert main(UNREADABLE_INPUTS[case](tmp_path)) == 2
+def test_untrusted_input_exits_two_without_traceback(case, tmp_path, capsys, monkeypatch):
+    """Each case is refused before the command's work, so it writes no file. It runs
+    from ``tmp_path``, so an output that a relative or empty ``--out`` puts in the
+    working directory lands there and fails the listing."""
+    monkeypatch.chdir(tmp_path)
+    argv = UNREADABLE_INPUTS[case](tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 SIZES = st.one_of(st.sampled_from([1, 2, 4, 8]), st.integers(1, 64), st.integers(1, 2 ** 40))

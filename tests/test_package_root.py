@@ -3,13 +3,16 @@ benchmark harness (``perfbench/``) and the tools (``tools/``) import from
 ``wingraph``, and each lookup kept there has one path."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
 
 import wingraph
+from wingraph.graph import RelationMatrix
 from wingraph.model import SegmenterConfig, build_model
 from wingraph.relation import FusionType
+from wingraph.train import TrainingReport
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -43,3 +46,6 @@ def test_train_is_the_only_root_name_that_shadows_a_submodule():
 def test_each_lookup_has_one_path():
     assert not hasattr(FusionType, "from_name")
     assert type(build_model(SegmenterConfig()).parameters()) is dict
+    # A record holds what was measured once: no echoed threshold, no copy of the curve's end.
+    assert [f.name for f in dataclasses.fields(RelationMatrix)] == ["values", "mask"]
+    assert [f.name for f in dataclasses.fields(TrainingReport)] == ["losses", "final_pixel_accuracy"]

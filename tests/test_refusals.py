@@ -26,6 +26,8 @@ _SMALL = SegmenterConfig(C=4, H=4, W=4, stages=((1, 2, 2),), num_classes=2, r_gr
 REFUSALS = {
     "predict_given_a_stack": (lambda: build_model(_SMALL).predict(zeros(2, 3, 4, 4)),
                               ValueError, "predict expects one [3,H,W] image, got [2, 3, 4, 4]"),
+    "predict_stack_of_nothing": (lambda: build_model(_SMALL).predict_stack([]), ValueError,
+                                 "predict_stack: no images"),
     "config_zero_height": (lambda: SegmenterConfig(H=0), ConfigError, "H and W must be positive"),
     "config_stage_of_two": (lambda: SegmenterConfig(stages=((1, 2),)), ConfigError,
                             "stage 0 must be (blocks, M, N)"),

@@ -1,6 +1,7 @@
 """Training loop: determinism, overfitting, divergence handling."""
 
 import importlib
+import math
 import warnings
 from unittest import mock
 
@@ -35,6 +36,13 @@ class TestTrain:
             model = build_model(TOY)
             reports.append(train(model, toy_dataset(), steps=20, lr=0.1))
         assert reports[0].losses == reports[1].losses
+
+    def test_final_loss_is_read_from_the_curve(self):
+        assert math.isnan(train(build_model(TOY), toy_dataset(), steps=0, lr=0.1).final_loss)
+        report = train(build_model(TOY), toy_dataset(), steps=3, lr=0.1)
+        assert len(report.losses) == 3 and report.final_loss == report.losses[-1]
+        with pytest.raises(AttributeError):
+            report.final_loss = 0.0
 
     def test_loss_decreases_on_fixed_batch(self):
         model = build_model(TOY)
